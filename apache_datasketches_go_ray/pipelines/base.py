@@ -67,9 +67,9 @@ class CheckpointedPipeline:
         self._config_dict = config_dict
         self.ckpt = checkpoint_dir
         self.metrics: dict = {"stages": {}, "config": config_dict}
-        # independent stages may materialize from concurrent driver
-        # threads (see DedupPipeline.run); manifest read-modify-write
-        # must not lose updates
+        # stages may run on executor threads, two at a time when
+        # DedupPipeline.run overlaps its pair branches on a session of
+        # >= 8 CPUs; manifest read-modify-write must not lose updates
         self._manifest_lock = threading.Lock()
         if checkpoint_dir:
             os.makedirs(checkpoint_dir, exist_ok=True)

@@ -1,47 +1,83 @@
 """End-to-end transcript dedup pipeline with checkpoints, lineage and
-resume.
+resume — one body for a full run and for an increment.
 
 Stages (each checkpointed as partitioned Parquet + a manifest entry):
   read -> assemble (shuffle on conv_id) -> sign (actor pool) ->
-  candidate pairs (shuffle on band key, pair-dedup shuffle) ->
-  verify (broadcast semi-join + 2 hash joins) ->
+  band pairs (shuffle on band key) || turn pairs (shuffle on turn-text
+  hash) -> verify (broadcast semi-join + 2 hash joins) ->
   cluster (iterative hash-partitioned min-label exchange).
 
-Dense ids: a per-run broadcast bridge (stages/ids.py) maps conv_id
-strings to order-preserving u64 lexicographic ranks; every hot shuffle
-below (band rows, turn-hash rows, pair dedup, verify joins, union-find
-exchange) keys on the ranks while all checkpoints and returned surfaces
-keep string schemas — output is bit-identical either way (pinned by
-tests/test_dense_ids.py), and the bridge declines deterministically on
-oversized id columns or 64-bit hash collisions (string-path fallback).
+A run dedups a batch of transcripts against a prior checkpoint chain:
+the checkpoint dirs of earlier runs (a full run plus each later
+increment), EMPTY for a full run. An empty chain is a full run; with a
+non-empty chain only these steps are added, nothing else changes:
+  * read the chain's ``signatures`` / ``assembled`` / ``turn_hashes``
+    surfaces (unioned across the chain) and the last entry's
+    ``clusters``;
+  * prefilter the corpus-side band rows and turn-hash rows to buckets
+    the batch touches, and keep only pairs touching a new conv
+    (old-old pairs were explored by the prior runs);
+  * re-enter the old cluster labels as (member, label) edges.
+
+Dense ids: one broadcast bridge per run (stages/ids.py), built from the
+conv ids of the prior and the new ``assembled`` surfaces together, maps
+conv_id strings to order-preserving u64 lexicographic ranks; every hot
+shuffle below (band rows, turn-hash rows, pair dedup, verify joins,
+union-find exchange) keys on the ranks while all checkpoints and
+returned surfaces keep string schemas — output is bit-identical either
+way (pinned by tests/test_dense_ids.py), and the bridge declines
+deterministically on oversized id columns or 64-bit hash collisions
+(string-path fallback).
+
+Branch scheduling: the two pair branches are independent; one
+executor runs them, with 2 threads on sessions of >= 8 CPUs (their
+shuffles overlap; measured 11.7 s sequential -> ~7 s at sf0.1 / 32
+CPUs) and 1 thread below that, where two concurrent hash shuffles
+starve each other's aggregators. The band branch is always submitted
+first, so stage names and fingerprints do not depend on the thread
+count: checkpoints written at one parallelism resume at any other.
 
 Resume: each stage's manifest entry records an input fingerprint
-(config + upstream fingerprint + row count); a re-run with an intact
-checkpoint directory skips every stage whose entry is complete and
-fingerprint-matching, re-reading its Parquet output instead. Union-find
-rounds checkpoint individually, and the final clusters table is
-deterministic (min-conv_id labels), so resumed and fresh runs are
-byte-identical after canonical sorting.
+(config + upstream fingerprint; the pair branches also fold in the
+chain's paths); a re-run with an intact checkpoint directory skips
+every stage whose entry is complete and fingerprint-matching,
+re-reading its Parquet output instead. Union-find rounds checkpoint
+individually, and the final clusters table is deterministic (min-conv_id
+labels), so resumed and fresh runs are byte-identical after canonical
+sorting.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
 import json
 import os
 import time
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data
 
 from ..config import DedupConfig
-from ..stages.context import ensure_hash_shuffle
+from ..functions.murmur3 import hash_strings
+from ..stages.arrow_util import as_array
 from ..stages.assemble import assemble
-from ..stages.signature import sign
-from ..stages.lsh import candidate_pairs
-from ..stages.turnblock import pairs_from_hashes, turn_hash_dataset
-from ..stages.verify import verify_pairs
 from ..stages.cluster import cluster_edges
+from ..stages.context import apply_block_cap, ensure_hash_shuffle, gather_table
+from ..stages.ids import build_bridge
+from ..stages.lsh import _in_sorted, candidate_pairs
+from ..stages.signature import sign
+from ..stages.turnblock import (hashes_from_assembled, pairs_from_hashes,
+                                turn_hash_dataset)
+from ..stages.verify import verify_pairs
 from .base import CheckpointedPipeline
+
+# candidate_pairs consumes (conv_id, bands, sig_digest), verify
+# (conv_id, shingles); n_turns/n_shingles of the prior corpus are never read
+_SIG_COLS = ["conv_id", "shingles", "bands", "sig_digest"]
 
 
 def resolve_input_layout(layout: str, transcripts_ds,
@@ -75,9 +111,13 @@ def resolve_input_layout(layout: str, transcripts_ds,
 
 
 class DedupPipeline(CheckpointedPipeline):
+    """Dedup a batch of transcripts against ``self.chain``, the prior
+    checkpoint chain, which is empty here: a full run."""
+
     def __init__(self, config: DedupConfig, checkpoint_dir: str | None = None):
         super().__init__(config.to_dict(), checkpoint_dir)
         self.cfg = config
+        self.chain: list = []
         ensure_hash_shuffle()
 
     def _resolve_layout(self, transcripts_ds, input_paths=None) -> str:
@@ -91,16 +131,13 @@ class DedupPipeline(CheckpointedPipeline):
     # ---- pipeline ---------------------------------------------------------
     def run(self, transcripts_ds, *, input_fingerprint: str = "",
             signer_concurrency=None, input_paths=None):
-        from ..stages.context import apply_block_cap
-
-        cfg = self.cfg
+        cfg, chain = self.cfg, self.chain
         t_start = time.time()
         # regime-gated block cap: small blocks raise map parallelism in
         # the in-memory regime but inflate spill object counts at scale
         # (stages/context.apply_block_cap)
         self.metrics["block_cap_applied"] = apply_block_cap(
             cfg.target_block_bytes, transcripts_ds.count())
-
         layout = self._resolve_layout(transcripts_ds, input_paths)
 
         # assembled IS materialized: fusing read -> repartition -> assemble
@@ -111,16 +148,21 @@ class DedupPipeline(CheckpointedPipeline):
             lambda: assemble(transcripts_ds, cfg.num_partitions,
                              input_layout=layout),
         )
-        # dense-id bridge: built once per run from the assembled surface
-        # (deterministic, so resumed runs rebuild it identically); every
-        # stage below keys its shuffles on u64 ranks when it is present
-        bridge = None
-        if getattr(cfg, "dense_ids", False):
-            from ..stages.ids import build_bridge
-
-            bridge = build_bridge(
-                assembled, max_bytes=getattr(cfg, "bridge_max_bytes",
-                                             2 << 30))
+        # the corpus seen so far: the prior chain's surfaces plus this
+        # batch. Reads prune at the read: Ray 2.49 does not push a later
+        # select_columns into read_parquet
+        texts, ids = assembled, assembled
+        if chain:
+            texts = _union_surface(chain, "assembled", ["conv_id", "text"]) \
+                .union(assembled.select_columns(["conv_id", "text"]))
+            ids = _union_surface(chain, "assembled", ["conv_id"]) \
+                .union(assembled.select_columns(["conv_id"]))
+        # dense-id bridge: built once per run from every conv id the run
+        # can meet (deterministic, so resumed runs rebuild it
+        # identically); every stage below keys its shuffles on u64
+        # ranks when it is present
+        bridge = (build_bridge(ids, max_bytes=cfg.bridge_max_bytes)
+                  if cfg.dense_ids else None)
         self.metrics["dense_ids"] = bridge is not None
         # keep_text=False: texts stay in the assembled table only; the
         # containment pass pulls just the texts it needs from there
@@ -129,97 +171,103 @@ class DedupPipeline(CheckpointedPipeline):
             lambda: sign(assembled, cfg, concurrency=signer_concurrency,
                          keep_text=False),
         )
+        sigs, band_filter, new_ids_ref = signatures, None, None
+        if chain:
+            # the pair branches are the first stages to read the chain
+            fp += json.dumps([os.path.abspath(d) for d in chain])
+            sigs = _union_surface(chain, "signatures", _SIG_COLS) \
+                .union(signatures.select_columns(_SIG_COLS))
+            # corpus-side band rows are emitted ONLY for buckets the
+            # batch touches: a bucket with no new conv can only produce
+            # old-old pairs, which new_only drops anyway — so the
+            # prefilter is exact and the band shuffle volume tracks the
+            # batch's collisions, not the corpus
+            band_filter = _sorted_set_ref(signatures, "bands")
+            # the batch is the small side by construction (a daily
+            # batch vs the corpus): broadcast its conv-id hashes
+            new_ids = gather_table(
+                signatures.select_columns(["conv_id"]),
+                schema=pa.schema([("conv_id", pa.string())]))
+            h_new, _ = hash_strings(as_array(new_ids.column("conv_id")))
+            new_ids_ref = ray.put(np.unique(h_new))
+
+        def new_only(pairs_ds):
+            if new_ids_ref is None:
+                return pairs_ds
+            return pairs_ds.map_batches(
+                functools.partial(_touches_new, new_ids_ref=new_ids_ref),
+                batch_format="pyarrow", zero_copy_batch=True)
+
         # pairs stay band-deduped only; the (a, b) dedup happens for free
         # inside verify's first co-partition join (saves one all-to-all)
-        # the band-pair branch (from signatures) and the exact
-        # turn-collision branch (from the raw transcripts,
-        # stages/turnblock.py) are independent; on a session with
-        # enough CPUs, materialize them from two driver threads so
-        # their shuffles overlap — neither saturates the cluster alone
-        # (measured 11.7s sequential -> ~7s overlapped at sf0.1/32
-        # CPUs). On SMALL sessions (< 8 CPUs) two concurrent
-        # hash-shuffle executions starve each other's shuffle
-        # aggregators (measured: the 4-CPU scaling leg crawled at load
-        # 0.85), so fall back to sequential there. Each thread owns its
-        # own stages; the manifest lock serializes bookkeeping.
-        try:
-            _ncpu = int(ray.cluster_resources().get("CPU", 0))
-        except Exception:
-            _ncpu = 0
-        if cfg.turn_block and _ncpu >= 8:
-            import concurrent.futures as _fut
+        def band_branch():
+            return self._stage(
+                "pairs", fp,
+                lambda: new_only(candidate_pairs(
+                    sigs, cfg, dedup=False, bridge_ref=bridge,
+                    band_filter_ref=band_filter)))
 
-            fp_sig = fp
-
-            def _band_branch():
-                return self._stage(
-                    "pairs", fp_sig,
-                    lambda: candidate_pairs(signatures, cfg, dedup=False,
-                                            bridge_ref=bridge))
-
-            def _turn_branch():
-                # turn_hashes is its own checkpoint surface so
-                # incremental runs can block a new batch against the
-                # old corpus without re-reading it. single consumer ->
-                # lazy in no-checkpoint mode (fuses into the hash
-                # shuffle); checkpoint mode still writes the surface
-                th, fp_th = self._stage(
-                    "turn_hashes", fp_sig,
-                    lambda: turn_hash_dataset(transcripts_ds, cfg),
-                    materialize=False,
-                )
-                return self._stage(
-                    "turn_pairs", fp_th,
-                    lambda: pairs_from_hashes(th, cfg, bridge_ref=bridge))
-
-            with _fut.ThreadPoolExecutor(max_workers=2) as ex:
-                f_band = ex.submit(_band_branch)
-                f_turn = ex.submit(_turn_branch)
-                pairs, fp_pairs = f_band.result()
-                turn_pairs, fp_turn = f_turn.result()
-            pairs = pairs.union(turn_pairs)
-            fp = fp_pairs + fp_turn  # downstream depends on BOTH branches
-        elif cfg.turn_block:
-            # sequential small-session path: SAME stage names and
-            # fingerprint chain as the threaded path so checkpoints
-            # written at one parallelism resume at any other
-            fp_sig = fp
-            pairs, fp_pairs = self._stage(
-                "pairs", fp_sig,
-                lambda: candidate_pairs(signatures, cfg, dedup=False,
-                                        bridge_ref=bridge))
-            turn_hashes, fp_th = self._stage(
-                "turn_hashes", fp_sig,
+        def turn_branch():
+            # turn_hashes is its own checkpoint surface so later
+            # increments block a new batch against the old corpus
+            # without re-reading it. single consumer -> lazy in
+            # no-checkpoint mode; checkpoint mode still writes it
+            hashes, fp_th = self._stage(
+                "turn_hashes", fp,
                 lambda: turn_hash_dataset(transcripts_ds, cfg),
                 materialize=False,
             )
-            turn_pairs, fp_turn = self._stage(
+            hash_filter = None
+            if chain:
+                # same prefilter as the band branch: only turn hashes
+                # present in the batch can form a new pair
+                hash_filter = _sorted_set_ref(hashes, "h")
+                hashes = _prior_turn_hashes(chain, cfg).union(hashes)
+            return self._stage(
                 "turn_pairs", fp_th,
-                lambda: pairs_from_hashes(turn_hashes, cfg,
-                                          bridge_ref=bridge))
-            pairs = pairs.union(turn_pairs)
-            fp = fp_pairs + fp_turn
-        else:
-            pairs, fp = self._stage(
-                "pairs", fp,
-                lambda: candidate_pairs(signatures, cfg, dedup=False,
-                                        bridge_ref=bridge),
-            )
+                lambda: new_only(pairs_from_hashes(
+                    hashes, cfg, bridge_ref=bridge,
+                    hash_filter_ref=hash_filter)))
+
+        # two driver threads overlap the branches' shuffles on sessions
+        # of >= 8 CPUs; on smaller ones two concurrent hash shuffles
+        # starve each other's aggregators (the 4-CPU scaling leg crawled
+        # at load 0.85), so one thread runs them in submission order.
+        # The manifest lock serializes bookkeeping.
+        workers = 2 if ray.cluster_resources().get("CPU", 0) >= 8 else 1
+        with concurrent.futures.ThreadPoolExecutor(workers) as ex:
+            branches = [ex.submit(band_branch)]
+            if cfg.turn_block:
+                branches.append(ex.submit(turn_branch))
+            results = [f.result() for f in branches]
+        pairs = results[0][0]
+        for ds, _fp in results[1:]:
+            pairs = pairs.union(ds)
+        fp = "".join(f for _ds, f in results)  # downstream reads both
+
         # verified IS materialized: fusing its two co-partition joins into
         # the clustering chain makes the streaming executor schedule both
         # repartitions + union branches concurrently, ~6x slower than
         # stage-wise execution (measured at 200k convs)
         verified, fp = self._stage(
             "verified", fp,
-            lambda: verify_pairs(pairs, signatures, cfg, dedup_pairs=True,
-                                 texts_ds=assembled, bridge_ref=bridge),
+            lambda: verify_pairs(pairs, sigs, cfg, dedup_pairs=True,
+                                 texts_ds=texts, bridge_ref=bridge),
         )
         edges = verified.filter(expr="is_dup == True").select_columns(["a", "b"])
+        if chain:
+            # old connectivity re-enters as (member, label) edges
+            # (connectivity-equivalent to the old edge set, O(nodes)
+            # instead of O(edges)); labels are cumulative, so the last
+            # checkpoint of the chain holds them all
+            edges = _union_surface(chain[-1:], "clusters").map_batches(
+                _label_edges, batch_format="pyarrow",
+                zero_copy_batch=True).union(edges)
 
         def ckpt_round(rnd, labels_ds):
             if self.ckpt:
-                d = os.path.join(self.ckpt, f"unionfind_round_{rnd}")
-                labels_ds.write_parquet(d)
+                labels_ds.write_parquet(
+                    os.path.join(self.ckpt, f"unionfind_round_{rnd}"))
 
         clusters, fp = self._stage(
             "clusters", fp,
@@ -228,9 +276,7 @@ class DedupPipeline(CheckpointedPipeline):
                                   bridge_ref=bridge),
         )
         self.metrics["total_sec"] = round(time.time() - t_start, 3)
-        if self.ckpt:
-            with open(os.path.join(self.ckpt, "metrics.json"), "w") as f:
-                json.dump(self.metrics, f, indent=2)
+        self._write_metrics()
         return {
             "assembled": assembled,
             "signatures": signatures,
@@ -239,6 +285,66 @@ class DedupPipeline(CheckpointedPipeline):
             "clusters": clusters,
             "metrics": self.metrics,
         }
+
+
+def _union_surface(chain, name: str, columns=None):
+    """One checkpoint surface unioned across a checkpoint chain (each
+    entry holds only its own batch). ``columns`` prunes at the read."""
+    out = None
+    for d in chain:
+        part = ray.data.read_parquet(os.path.join(d, name), columns=columns)
+        out = part if out is None else out.union(part)
+    return out
+
+
+def _prior_turn_hashes(chain, config: DedupConfig):
+    """The chain's (conv_id, h) turn-hash rows; checkpoints written
+    before the turn_hashes surface re-derive them from assembled text."""
+    if all(os.path.isdir(os.path.join(d, "turn_hashes")) for d in chain):
+        return _union_surface(chain, "turn_hashes")
+    return hashes_from_assembled(
+        _union_surface(chain, "assembled", ["conv_id", "text"]), config)
+
+
+def _sorted_set_ref(ds, col: str):
+    """``ray.put`` of the sorted distinct u64 values of ``col`` (a u64
+    column, or a list of u64 that is flattened) over ``ds``."""
+    def uniq(b: pa.Table) -> pa.Table:
+        arr = as_array(b.column(col))
+        if not pa.types.is_integer(arr.type):
+            arr = arr.flatten()
+        return pa.table({"h": pa.array(
+            np.unique(arr.to_numpy(zero_copy_only=False)),
+            type=pa.uint64())})
+
+    parts = [blk.column("h").to_numpy(zero_copy_only=False)
+             for blk in ds.select_columns([col]).map_batches(
+                 uniq, batch_format="pyarrow", zero_copy_batch=True)
+             .iter_batches(batch_size=None, batch_format="pyarrow")
+             if len(blk)]
+    return ray.put(np.unique(np.concatenate(parts)) if parts
+                   else np.empty(0, dtype=np.uint64))
+
+
+def _touches_new(batch: pa.Table, new_ids_ref) -> pa.Table:
+    """Keep the pairs with at least one conv in the new batch."""
+    if len(batch) == 0:
+        return batch
+    ids = ray.get(new_ids_ref)
+
+    def isin(col):
+        h, _ = hash_strings(as_array(batch.column(col)))
+        return _in_sorted(h, ids)
+
+    return batch.filter(pa.array(isin("a") | isin("b")))
+
+
+def _label_edges(b: pa.Table) -> pa.Table:
+    """(conv_id, cluster_id) rows -> (member, label) edges; the cluster
+    centers' self-loops are harmless to union-find but dropped."""
+    a = b.column("conv_id").cast(pa.string())
+    lab = b.column("cluster_id").cast(pa.string())
+    return pa.table({"a": a, "b": lab}).filter(pc.not_equal(a, lab))
 
 
 def run_dedup(
@@ -255,26 +361,28 @@ def run_dedup(
 # incremental dedup against an existing checkpoint
 # ---------------------------------------------------------------------------
 
-class IncrementalDedupPipeline(CheckpointedPipeline):
+class IncrementalDedupPipeline(DedupPipeline):
     """Dedup a NEW batch of transcripts against a prior run's checkpoint
     without re-signing the existing corpus — the mergeability contract
     the reference's sketches promise (hll/union.go:151-158: a union
     gadget folds previously-serialized state with fresh updates) applied
     to the whole pipeline.
 
-    Reuses three checkpointed surfaces of the prior run:
-      * ``signatures`` — old convs are never re-assembled or re-signed;
-      * ``assembled``  — old texts for the containment pass;
-      * ``clusters``   — old connectivity, re-entering union-find as
-        (member, label) edges (connectivity-equivalent to the old edge
-        set but O(nodes) instead of O(edges)).
-
-    New candidate pairs come from banding old+new signatures together
-    and keeping only pairs that touch a new conv (old–old pairs were
-    fully explored by the prior run; its cluster labels carry that
-    connectivity). Verification runs only on those pairs, so the work
-    per increment is proportional to the increment + its collisions,
-    not to the corpus.
+    ``against`` is one checkpoint dir or a CHAIN of them (the original
+    full run plus each prior increment's checkpoint, in order). It runs
+    the one ``DedupPipeline.run`` body with that chain; the full run is
+    the same body with an empty chain. What only a non-empty chain adds:
+      * the chain's ``signatures`` (old convs are never re-assembled or
+        re-signed), ``assembled`` texts (containment pass, and the
+        dense-id bridge next to the batch's ids) and ``turn_hashes``;
+      * band-hash and turn-hash prefilters on the corpus-side rows, and
+        dropping every pair that touches no new conv — the work per
+        increment is proportional to the increment + its collisions,
+        not to the corpus;
+      * the last entry's ``clusters`` re-entering union-find as
+        (member, label) edges;
+      * the chain's paths in the pair branches' fingerprints, so a run
+        against another chain never resumes stale pairs.
 
     Equivalence: dedup(A), then incremental(B) ==
     dedup(A ∪ B) cluster-for-cluster (pinned by pytest) — min-id labels
@@ -282,213 +390,10 @@ class IncrementalDedupPipeline(CheckpointedPipeline):
     the reference's sketch merges.
     """
 
-    def __init__(self, config: DedupConfig, against: str,
+    def __init__(self, config: DedupConfig, against,
                  checkpoint_dir: str | None = None):
-        super().__init__(config.to_dict(), checkpoint_dir)
-        self.cfg = config
-        self.against = against
-        ensure_hash_shuffle()
-
-    def run(self, new_transcripts_ds, *, input_fingerprint: str = "",
-            input_paths=None,
-            signer_concurrency=None):
-        import numpy as np
-
-        from ..functions.murmur3 import hash_strings
-        from ..stages.arrow_util import as_array
-        from ..stages.context import apply_block_cap, gather_table
-
-        cfg = self.cfg
-        t_start = time.time()
-        self.metrics["block_cap_applied"] = apply_block_cap(
-            cfg.target_block_bytes, new_transcripts_ds.count())
-        # ``against`` may be one checkpoint dir or a CHAIN of them (the
-        # original full run plus each prior increment's checkpoint, in
-        # order): signature/assembled surfaces union across the chain —
-        # each increment's checkpoint holds only its own batch — while
-        # cluster labels come from the LAST entry (they are cumulative,
-        # since every increment re-enters the prior labels as edges).
-        chain = ([self.against] if isinstance(self.against, str)
-                 else list(self.against))
-
-        def _union_surface(name, columns=None):
-            # prune at the read: Ray 2.49 does not push a later
-            # select_columns into read_parquet, so the column list is
-            # the difference between re-reading the whole checkpoint
-            # and only what the increment consumes
-            parts = [ray.data.read_parquet(os.path.join(d, name),
-                                           columns=columns)
-                     for d in chain]
-            out = parts[0]
-            for p in parts[1:]:
-                out = out.union(p)
-            return out
-
-        # candidate_pairs consumes (conv_id, bands, sig_digest), verify
-        # (conv_id, shingles); n_turns/n_shingles never leave the store
-        _SIG_COLS = ["conv_id", "shingles", "bands", "sig_digest"]
-        old_sigs = _union_surface("signatures", columns=_SIG_COLS)
-        old_assembled = _union_surface("assembled",
-                                       columns=["conv_id", "text"])
-        old_clusters = ray.data.read_parquet(
-            os.path.join(chain[-1], "clusters"))
-
-        layout = DedupPipeline._resolve_layout(self, new_transcripts_ds,
-                                       input_paths)
-        assembled_new, fp = self._stage(
-            "assembled", input_fingerprint,
-            lambda: assemble(new_transcripts_ds, cfg.num_partitions,
-                             input_layout=layout),
-        )
-        sigs_new, fp = self._stage(
-            "signatures", fp,
-            lambda: sign(assembled_new, cfg,
-                         concurrency=signer_concurrency, keep_text=False),
-        )
-
-        # broadcast set of new conv-id hashes: the increment is the small
-        # side by construction (a daily batch vs the corpus)
-        id_tbl = gather_table(
-            sigs_new.select_columns(["conv_id"]),
-            schema=pa.schema([("conv_id", pa.string())]))
-        h_new, _ = hash_strings(as_array(id_tbl.column("conv_id")))
-        new_ids_ref = ray.put(np.unique(h_new))
-
-        def _touches_new(batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return batch
-            ids = ray.get(new_ids_ref)
-
-            def _isin(col):
-                h, _ = hash_strings(as_array(batch.column(col)))
-                if not len(ids):
-                    return np.zeros(len(h), dtype=bool)
-                idx = np.searchsorted(ids, h)
-                idx[idx >= len(ids)] = 0
-                return ids[idx] == h
-
-            return batch.filter(pa.array(_isin("a") | _isin("b")))
-
-        sigs_all = old_sigs.union(sigs_new.select_columns(_SIG_COLS))
-        # broadcast the increment's band-hash set: the corpus-side band
-        # explode then emits ONLY buckets the increment touches (a
-        # bucket with no new conv can only produce old-old pairs, which
-        # _touches_new drops anyway — so the prefilter is exact and the
-        # band shuffle volume tracks the increment's collisions, not
-        # the corpus)
-        def _uniq_bands(b: pa.Table) -> pa.Table:
-            from ..stages.arrow_util import as_array as _aa
-
-            if len(b) == 0:
-                return pa.table({"h": pa.array([], type=pa.uint64())})
-            flat = _aa(b.column("bands")).flatten().to_numpy(
-                zero_copy_only=False)
-            return pa.table({"h": pa.array(np.unique(flat),
-                                           type=pa.uint64())})
-
-        band_parts = [
-            blk.column("h").to_numpy(zero_copy_only=False)
-            for blk in sigs_new.select_columns(["bands"]).map_batches(
-                _uniq_bands, batch_format="pyarrow",
-                zero_copy_batch=True).iter_batches(
-                batch_size=None, batch_format="pyarrow")
-            if len(blk)]
-        new_bands_ref = ray.put(
-            np.unique(np.concatenate(band_parts)) if band_parts
-            else np.empty(0, dtype=np.uint64))
-        pairs_new, fp = self._stage(
-            "pairs", fp,
-            lambda: candidate_pairs(sigs_all, cfg, dedup=False,
-                                    band_filter_ref=new_bands_ref)
-            .map_batches(_touches_new, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        )
-        if cfg.turn_block:
-            # turn-collision blocking over old + new corpus, keeping
-            # only pairs that touch the increment (old–old connectivity
-            # is already in the checkpointed cluster labels)
-            from ..stages.turnblock import hashes_from_assembled
-
-            th_parts = []
-            missing = False
-            for d in chain:
-                th_dir = os.path.join(d, "turn_hashes")
-                if os.path.isdir(th_dir):
-                    th_parts.append(ray.data.read_parquet(th_dir))
-                else:
-                    missing = True
-            if missing or not th_parts:
-                old_hashes = hashes_from_assembled(old_assembled, cfg)
-            else:
-                old_hashes = th_parts[0]
-                for p in th_parts[1:]:
-                    old_hashes = old_hashes.union(p)
-            new_hashes, fp = self._stage(
-                "turn_hashes", fp,
-                lambda: turn_hash_dataset(new_transcripts_ds, cfg),
-                materialize=False,
-            )
-            # same prefilter for the turn-collision branch: only turn
-            # hashes present in the increment can form a new pair
-            h_parts = [
-                blk.column("h").to_numpy(zero_copy_only=False)
-                for blk in new_hashes.select_columns(["h"]).iter_batches(
-                    batch_size=None, batch_format="pyarrow")
-                if len(blk)]
-            new_h_ref = ray.put(
-                np.unique(np.concatenate(h_parts)) if h_parts
-                else np.empty(0, dtype=np.uint64))
-            turn_pairs_new, fp = self._stage(
-                "turn_pairs", fp,
-                lambda: pairs_from_hashes(
-                    old_hashes.union(new_hashes), cfg,
-                    hash_filter_ref=new_h_ref)
-                .map_batches(_touches_new, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            )
-            pairs_new = pairs_new.union(turn_pairs_new)
-        verified_new, fp = self._stage(
-            "verified", fp,
-            lambda: verify_pairs(pairs_new, sigs_all, cfg,
-                                 dedup_pairs=True,
-                                 texts_ds=old_assembled.union(
-                                     assembled_new.select_columns(
-                                         ["conv_id", "text"]))),
-        )
-        new_edges = verified_new.filter(expr="is_dup == True") \
-            .select_columns(["a", "b"])
-        # old connectivity re-enters as (member, label) edges; self-loops
-        # (cluster centers) are harmless to union-find but dropped to keep
-        # the edge set minimal
-        label_edges = old_clusters.map_batches(
-            lambda b: pa.table({
-                "a": b.column("conv_id").cast(pa.string()),
-                "b": b.column("cluster_id").cast(pa.string()),
-            }).filter(pc_not_equal_cols(b)),
-            batch_format="pyarrow", zero_copy_batch=True)
-
-        clusters, fp = self._stage(
-            "clusters", fp,
-            lambda: cluster_edges(label_edges.union(new_edges),
-                                  cfg.num_partitions),
-        )
-        self.metrics["total_sec"] = round(time.time() - t_start, 3)
-        self._write_metrics()
-        return {
-            "assembled": assembled_new,
-            "signatures": sigs_new,
-            "pairs": pairs_new,
-            "verified": verified_new,
-            "clusters": clusters,
-            "metrics": self.metrics,
-        }
-
-
-def pc_not_equal_cols(b: pa.Table) -> pa.Array:
-    import pyarrow.compute as pc
-
-    return pc.invert(pc.equal(b.column("conv_id").cast(pa.string()),
-                              b.column("cluster_id").cast(pa.string())))
+        super().__init__(config, checkpoint_dir)
+        self.chain = [against] if isinstance(against, str) else list(against)
 
 
 def run_dedup_incremental(
@@ -542,8 +447,6 @@ def delete_convs(
     future incrementals chain off this single dir instead of the whole
     prior chain.
     """
-    import pyarrow.compute as pc
-
     cfg = config or DedupConfig()
     ensure_hash_shuffle()
     t_start = time.time()
@@ -551,17 +454,6 @@ def delete_convs(
 
     ids = sorted({str(c) for c in removed_conv_ids})
     removed_ref = ray.put(pa.array(ids, type=pa.string()))
-
-    def _union_surface(name, required=True):
-        parts = [ray.data.read_parquet(os.path.join(d, name))
-                 for d in chain
-                 if required or os.path.isdir(os.path.join(d, name))]
-        if not parts:
-            return None
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.union(p)
-        return out
 
     def _drop(cols):
         def fn(b: pa.Table) -> pa.Table:
@@ -578,15 +470,18 @@ def delete_convs(
 
     metrics = {"stages": {}, "removed": len(ids), "chain": len(chain)}
     out = {}
-    for name, cols, required in (
-        ("assembled", ["conv_id"], True),
-        ("signatures", ["conv_id"], True),
-        ("turn_hashes", ["conv_id"], False),
-        ("verified", ["a", "b"], True),
+    for name, cols in (
+        ("assembled", ["conv_id"]),
+        ("signatures", ["conv_id"]),
+        ("turn_hashes", ["conv_id"]),
+        ("verified", ["a", "b"]),
     ):
-        src = _union_surface(name, required=required)
-        if src is None:
+        # turn_hashes is the one optional surface (older checkpoints)
+        dirs = [d for d in chain if name != "turn_hashes"
+                or os.path.isdir(os.path.join(d, name))]
+        if not dirs:
             continue
+        src = _union_surface(dirs, name)
         t0 = time.time()
         ds = src.map_batches(_drop(cols), batch_format="pyarrow",
                              zero_copy_batch=True)

@@ -11,11 +11,13 @@ order == Python codepoint order), so every ordering decision downstream
 labels — is bit-identical to the string form, and the single-process
 oracle (pipelines/oracle.py) needs no change.
 
-The bridge is built once per run from the assembled surface (one row
-per conversation), broadcast via ``ray.put`` and probed zero-copy per
-task. Lookup is hash-based: idh = murmur3_64(conv_id) (the reference's
-identity hashing discipline, hll/hll_sketch.go:338-343) into a sorted
-array. Injectivity is verified at build time — a 64-bit idh collision
+The bridge is built once per run from the conv ids of the assembled
+surfaces (an increment's prior chain plus its new batch), broadcast via
+``ray.put`` and probed zero-copy per task; encoding an id it was not
+built from raises. Lookup is hash-based: idh = murmur3_64(conv_id)
+(the reference's identity hashing discipline,
+hll/hll_sketch.go:338-343) into a sorted array. Injectivity is
+verified at build time — a 64-bit idh collision
 (probability ~n^2/2^65) disables the bridge for the run and the stages
 fall back to the proven string path, so a collision can never alias two
 conversations. Both decisions (bridge on/off, rank values) are pure
@@ -40,30 +42,25 @@ import ray
 from ..functions.murmur3 import hash_strings
 from .arrow_util import as_array
 
-# sentinel rank for ids not present in the bridge (never a valid rank:
-# ranks are dense 0..n-1 and n is checked below uint64 max)
-MISSING = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
 def build_bridge(assembled_ds, *, max_bytes: int = 2 << 30,
                  id_col: str = "conv_id"):
-    """assembled (one row per conv) -> broadcast bridge ref, or None.
+    """conv ids -> broadcast bridge ref, or None.
 
+    ``assembled_ds`` holds the ids of every conversation the run can
+    meet (an id may repeat: an increment's batch may re-ingest one).
     Returns ``ray.put((idh_sorted, rank_of_idh, strings_by_rank))`` —
     or ``None`` when the id column exceeds ``max_bytes`` (string-mode
-    fallback regime) or a 64-bit idh collision exists (never alias).
+    fallback regime), a 64-bit idh collision exists (never alias), or
+    there is no id at all. Any other failure, e.g. a missing id column,
+    raises.
     """
-    try:
-        ids_ds = assembled_ds.select_columns([id_col])
-        if ids_ds.size_bytes() > max_bytes:
-            return None
-        from .context import gather_table
+    from .context import gather_table
 
-        tbl = gather_table(
-            ids_ds, schema=pa.schema([(id_col, pa.string())]))
-    except Exception:
+    ids_ds = assembled_ds.select_columns([id_col])
+    if ids_ds.size_bytes() > max_bytes:
         return None
-    arr = as_array(tbl.column(id_col)).cast(pa.large_string())
+    tbl = gather_table(ids_ds, schema=pa.schema([(id_col, pa.string())]))
+    arr = pc.unique(as_array(tbl.column(id_col)).cast(pa.large_string()))
     n = len(arr)
     if n == 0:
         return None
@@ -98,7 +95,9 @@ def _bridge(bridge_ref):
 
 
 def encode_ids(col, bridge_ref) -> np.ndarray:
-    """string column/array -> uint64 ranks (MISSING for unknown ids)."""
+    """string column/array -> uint64 ranks; an id the bridge was not
+    built from raises ``ValueError`` (no sentinel rank could be told
+    apart from a real one downstream)."""
     idh_sorted, rank_of_idh, _ = _bridge(bridge_ref)
     arr = as_array(col) if not isinstance(col, pa.Array) else col
     h, _h2 = hash_strings(arr)
@@ -107,11 +106,11 @@ def encode_ids(col, bridge_ref) -> np.ndarray:
     idx = np.searchsorted(idh_sorted, h)
     idx[idx >= len(idh_sorted)] = 0
     found = idh_sorted[idx] == h
-    out = rank_of_idh[idx]
     if not found.all():
-        out = out.copy()
-        out[~found] = MISSING
-    return out
+        unknown = arr[int(np.flatnonzero(~found)[0])].as_py()
+        raise ValueError(
+            f"encode_ids: conv id {unknown!r} is not in the dense-id bridge")
+    return rank_of_idh[idx]
 
 
 def decode_ids(ranks, bridge_ref) -> pa.Array:

@@ -51,6 +51,11 @@ def explode_bands(batch: pa.Table, bridge_ref=None,
     explode ships only buckets an increment actually touches (buckets
     without a new conv could only yield old-old pairs, which the
     increment drops anyway — so the filter is exact)."""
+    return _explode(batch, bridge_ref, band_filter_ref)[0]
+
+
+def _explode(batch: pa.Table, bridge_ref, band_filter_ref):
+    """explode_bands plus each output row's source row index."""
     from .arrow_util import as_array
 
     bands = as_array(batch.column("bands"))
@@ -69,9 +74,10 @@ def explode_bands(batch: pa.Table, bridge_ref=None,
         conv_col = pa.array(cid[rep], type=pa.uint64())
     else:
         conv_col = batch.column("conv_id").take(rep_pa)
-    return pa.table({"band_hash": pa.array(flat, type=pa.uint64()),
-                     "conv_id": conv_col,
-                     "sig_digest": batch.column("sig_digest").take(rep_pa)})
+    out = pa.table({"band_hash": pa.array(flat, type=pa.uint64()),
+                    "conv_id": conv_col,
+                    "sig_digest": batch.column("sig_digest").take(rep_pa)})
+    return out, rep
 
 
 def detect_hot_bands(sig_ds, config: DedupConfig) -> np.ndarray:
@@ -155,23 +161,11 @@ def explode_bands_salted(batch: pa.Table, hot_ref,
     from .arrow_util import as_array
 
     hot, n_salt = ray.get(hot_ref)
-    # per-conv string hash BEFORE the explode: one murmur per conv,
-    # repeated across its bands, instead of n_bands redundant hashes
+    # one murmur per conv, gathered to its (possibly band-filtered)
+    # rows through the explode's source-row index
     h_conv, _ = hash_strings(as_array(batch.column("conv_id")))
-    out = explode_bands(batch, bridge_ref=bridge_ref,
-                        band_filter_ref=band_filter_ref)
-    if band_filter_ref is not None:
-        # recompute per-row conv hashes from the filtered row set: the
-        # explode dropped rows, so the n_bands repeat no longer aligns
-        h, _ = hash_strings(as_array(batch.column("conv_id")))
-        bands = as_array(batch.column("bands"))
-        flat = bands.flatten().to_numpy(zero_copy_only=False)
-        n_bands = len(flat) // max(len(batch), 1) if len(batch) else 0
-        keep = _in_sorted(flat, ray.get(band_filter_ref))
-        h = np.repeat(h, n_bands)[keep]
-    else:
-        n_bands = len(out) // max(len(batch), 1) if len(batch) else 0
-        h = np.repeat(h_conv, n_bands)
+    out, rep = _explode(batch, bridge_ref, band_filter_ref)
+    h = h_conv[rep]
     bh = out.column("band_hash").to_numpy(zero_copy_only=False)
     salt = np.where(_in_sorted(bh, hot),
                     (h % np.uint64(n_salt)).astype(np.int32),

@@ -45,6 +45,8 @@ from .arrow_util import as_array
 
 _ROWS_SCHEMA = pa.schema([("conv_id", pa.string()), ("h", pa.uint64())])
 _PAIRS_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string())])
+# (conv, h) rows are ~16-20 bytes: the same grain as lsh's band rows
+_ROWS_PER_PARTITION = 200_000
 
 
 def turn_hash_rows(batch: pa.Table, min_chars: int) -> pa.Table:
@@ -209,7 +211,13 @@ def pairs_from_hashes(hash_ds, config: DedupConfig, bridge_ref=None,
     bridge the conv column is encoded to u64 ranks BEFORE the keyed
     shuffle (the checkpointable hash surface keeps strings);
     ``hash_filter_ref`` restricts rows to an increment's turn-hash set
-    before the shuffle (exact — see _filter_hashes)."""
+    before the shuffle (exact — see _filter_hashes).
+
+    The shuffle is sized to the rows it moves (context.auto_partitions,
+    capped at ``num_partitions``): they are materialized once, so the
+    count reads block metadata instead of a second pass over lazy rows."""
+    from .context import auto_partitions
+
     if hash_filter_ref is not None:
         hash_ds = hash_ds.map_batches(
             functools.partial(_filter_hashes,
@@ -219,7 +227,10 @@ def pairs_from_hashes(hash_ds, config: DedupConfig, bridge_ref=None,
         hash_ds = hash_ds.map_batches(
             functools.partial(_encode_rows, bridge_ref=bridge_ref),
             batch_format="pyarrow", zero_copy_batch=True)
-    return (hash_ds.repartition(config.num_partitions, keys=["h"])
+    hash_ds = hash_ds.materialize()
+    P = auto_partitions(hash_ds.count(), _ROWS_PER_PARTITION,
+                        config.num_partitions)
+    return (hash_ds.repartition(P, keys=["h"])
             .map_batches(
                 functools.partial(pairs_block,
                                   max_convs=config.turn_block_max_convs,

@@ -41,13 +41,32 @@ def test_bridge_ranks_preserve_lexicographic_order(ray_session):
     assert decode_ids(ranks, ref).to_pylist() == ids
 
 
-def test_bridge_unknown_id_is_missing(ray_session):
-    from apache_datasketches_go_ray.stages.ids import MISSING, encode_ids
+def test_bridge_unknown_id_raises(ray_session):
+    from apache_datasketches_go_ray.stages.ids import encode_ids
 
     ref = _bridge_for(["a", "b", "c"])
-    ranks = encode_ids(pa.array(["b", "nope", "c"]), ref)
-    assert ranks[1] == MISSING
-    assert ranks[0] != MISSING and ranks[2] != MISSING
+    with pytest.raises(ValueError, match="'nope'"):
+        encode_ids(pa.array(["b", "nope", "c"]), ref)
+
+
+def test_bridge_repeated_ids_are_not_a_collision(ray_session):
+    from apache_datasketches_go_ray.stages.ids import decode_ids, encode_ids
+
+    ref = _bridge_for(["b", "a", "b", "c", "a"])
+    assert ref is not None
+    ranks = encode_ids(pa.array(["a", "b", "c"]), ref)
+    assert ranks.tolist() == [0, 1, 2]
+    assert decode_ids(ranks, ref).to_pylist() == ["a", "b", "c"]
+
+
+def test_bridge_without_id_column_raises(ray_session):
+    import ray.data
+
+    from apache_datasketches_go_ray.stages.ids import build_bridge
+
+    ds = ray.data.from_arrow(pa.table({"other": pa.array(["a", "b"])}))
+    with pytest.raises(Exception, match="conv_id"):
+        build_bridge(ds)
 
 
 def test_bridge_declines_over_budget(ray_session):

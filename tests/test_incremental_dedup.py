@@ -2,6 +2,8 @@
 dedup(A ∪ B) cluster-for-cluster (the pipeline-level analogue of the
 reference's sketch-merge contract, hll/union.go:151-158)."""
 
+import shutil
+
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
@@ -65,9 +67,13 @@ def test_incremental_equals_full(split_fixture, full_labels, tmp_path):
 
     ck = str(tmp_path / "ckpt_a")
     run_dedup(ds_a, cfg, checkpoint_dir=ck)
-    inc = _labels(run_dedup_incremental(ds_b, against=ck, config=cfg))
+    res = run_dedup_incremental(ds_b, against=ck, config=cfg)
+    inc = _labels(res)
 
     assert inc == full
+    # the increment's stages key their shuffles on dense ids, as a full
+    # run's do: the bridge covers the prior corpus and the new batch
+    assert res["metrics"]["dense_ids"] is True
     # sanity: the fixture actually exercises cross-increment merges
     cross = {
         cid for cid, lab in full.items()
@@ -109,6 +115,23 @@ def test_incremental_with_own_checkpoint_resumes(split_fixture, tmp_path):
     assert _labels(r2) == cl1
     for name, ent in p2.metrics["stages"].items():
         assert ent["resumed"], f"stage {name} should have resumed"
+
+    # the same batch and checkpoint dir against ANOTHER chain (a copy
+    # of the first at a new path): the batch's own assembled/signatures
+    # may resume, but nothing that read the chain (pairs onward) may
+    ck_copy = str(tmp_path / "ckpt_a_copy")
+    shutil.copytree(ck_a, ck_copy)
+    p3 = IncrementalDedupPipeline(cfg, ck_copy, ck_b)
+    r3 = p3.run(ray.data.read_parquet(split_fixture["dir"]).map_batches(
+        lambda b: _part(b, False), batch_format="pyarrow"))
+    assert _labels(r3) == cl1
+    stages = p3.metrics["stages"]
+    assert stages["assembled"]["resumed"]
+    assert stages["signatures"]["resumed"]
+    for name in ("pairs", "turn_hashes", "turn_pairs", "verified",
+                 "clusters"):
+        assert not stages[name]["resumed"], \
+            f"stage {name} resumed against a different chain"
 
 
 def test_chained_increments_equal_full(split_fixture, full_labels,

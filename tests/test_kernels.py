@@ -392,3 +392,41 @@ def test_ivf_topk_with_injected_kmeans_centroids(ray_session):
     ap_top = {(r["query_id"], r["rank"]): r["vec_id"]
               for r in ap.to_pylist() if r["rank"] <= 2}
     assert ap_top == bf_top
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_salted_band_filter_equals_explode_then_filter(ray_session, dense):
+    """explode_bands_salted with an increment's band filter == the
+    unfiltered salted explode with the filter applied afterwards, row
+    for row (salt included), with and without the dense-id bridge."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from apache_datasketches_go_ray.stages.ids import build_bridge
+    from apache_datasketches_go_ray.stages.lsh import (
+        _in_sorted, explode_bands_salted)
+
+    rng = np.random.default_rng(5)
+    n, n_bands = 40, 6
+    # a 12-value band alphabet: buckets are shared, some hot
+    bands = rng.integers(0, 12, size=(n, n_bands)).astype(np.uint64)
+    batch = pa.table({
+        "conv_id": pa.array([f"conv-{i:03d}" for i in rng.permutation(n)]),
+        "bands": pa.array(list(bands), type=pa.list_(pa.uint64())),
+        "sig_digest": pa.array([bytes([i % 7] * 4) for i in range(n)],
+                               type=pa.large_binary()),
+    })
+    hot_ref = ray.put((np.array([1, 4, 9], dtype=np.uint64), 4))
+    allowed = np.array([0, 1, 4, 7], dtype=np.uint64)
+    bridge = (build_bridge(ray.data.from_arrow(batch.select(["conv_id"])))
+              if dense else None)
+
+    got = explode_bands_salted(batch, hot_ref, bridge_ref=bridge,
+                               band_filter_ref=ray.put(allowed))
+    full = explode_bands_salted(batch, hot_ref, bridge_ref=bridge)
+    want = full.filter(pa.array(_in_sorted(
+        full.column("band_hash").to_numpy(), allowed)))
+    assert got.equals(want)
+    assert 0 < len(got) < len(full)
+    assert len(set(got.column("salt").to_pylist())) > 1

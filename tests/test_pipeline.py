@@ -127,9 +127,13 @@ def test_determinism_across_partitioning(fixture_dir, oracle_result):
     assert pipe == oracle_result["clusters"]
 
 
-def test_checkpoint_resume(fixture_dir, oracle_result, tmp_path):
+def test_checkpoint_resume(fixture_dir, oracle_result, tmp_path,
+                           monkeypatch):
     """Run with checkpointing, then re-run: all stages resume, clusters
-    identical (FIXTURES.md F5)."""
+    identical (FIXTURES.md F5) — also when the re-run sees 8 CPUs and
+    overlaps the pair branches on two threads (checkpoints written at
+    one parallelism resume at any other)."""
+    import ray
     import ray.data
     from apache_datasketches_go_ray.pipelines.dedup import DedupPipeline
 
@@ -146,6 +150,19 @@ def test_checkpoint_resume(fixture_dir, oracle_result, tmp_path):
     assert cl1 == cl2 == oracle_result["clusters"]
     for name, ent in p2.metrics["stages"].items():
         assert ent["resumed"], f"stage {name} should have resumed"
+
+    # every stage resumes from Parquet, so no two shuffles overlap on
+    # the small test session
+    real = ray.cluster_resources
+    monkeypatch.setattr(ray, "cluster_resources",
+                        lambda: {**real(), "CPU": 8.0})
+    p3 = DedupPipeline(cfg, ck)
+    r3 = p3.run(ray.data.read_parquet(fixture_dir["dir"]))
+    cl3 = {r["conv_id"]: r["cluster_id"] for r in r3["clusters"].take_all()}
+    assert cl3 == cl1
+    assert set(p3.metrics["stages"]) == set(p2.metrics["stages"])
+    for name, ent in p3.metrics["stages"].items():
+        assert ent["resumed"], f"stage {name} should have resumed at 8 CPUs"
 
 
 def test_cluster_chain_convergence(ray_session):

@@ -67,10 +67,16 @@ def test_pair_order_is_lexicographic():
     assert got == {("aa", "zz")}
 
 
-def test_dataset_pairs_partition_independent(ray_session):
+def test_dataset_pairs_partition_independent(ray_session, monkeypatch):
     """Same pair set regardless of input block layout or partition
     count (global distinct per (h, conv) happens post-shuffle)."""
     import ray.data
+
+    from apache_datasketches_go_ray.stages import turnblock
+
+    # one row per partition: the shuffle then takes each cap below
+    # (num_partitions) instead of sizing this tiny input to 1 partition
+    monkeypatch.setattr(turnblock, "_ROWS_PER_PARTITION", 1)
 
     rng = np.random.default_rng(7)
     rows = []
@@ -99,6 +105,27 @@ def test_dataset_pairs_partition_independent(ray_session):
     assert vals[0] == vals[1] == vals[2]
     assert planted <= vals[0]
     assert not any(p[0] == p[1] for p in vals[0])
+
+
+def test_tiny_input_shuffles_into_one_partition(ray_session, monkeypatch):
+    """The turn-hash shuffle is sized to its rows, not to the default
+    num_partitions (64 aggregators for a handful of rows stalled a
+    2-CPU session for minutes)."""
+    import ray.data
+
+    seen = []
+    real = ray.data.Dataset.repartition
+
+    def spy(self, num_blocks, *args, **kwargs):
+        seen.append(num_blocks)
+        return real(self, num_blocks, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "repartition", spy)
+    rows = [("c1", LONG_A), ("c2", LONG_A), ("c3", LONG_B)]
+    ds = ray.data.from_arrow(_turns(rows))
+    got = turn_block_pairs(ds, DedupConfig()).materialize().to_pandas()
+    assert seen == [1]
+    assert set(zip(got["a"], got["b"])) == {("c1", "c2")}
 
 
 def test_hashes_from_assembled_matches_raw(ray_session):
