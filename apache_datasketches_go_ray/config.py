@@ -77,13 +77,14 @@ class DedupConfig:
     # dense-id bridge (stages/ids.py): encode conv_id strings once per
     # run into order-preserving u64 lexicographic ranks so every hot
     # shuffle (band rows, turn-hash rows, pair dedup, verify joins,
-    # union-find exchange) moves 8-byte ints instead of strings, and
-    # in-block bucket scans skip per-block string dictionaries. Output
-    # is bit-identical (rank order == UTF-8 order == the oracle's
-    # labeling order); the bridge auto-disables — falling back to the
-    # string path — when the id column exceeds bridge_max_bytes (the
-    # single-object broadcast ceiling) or a 64-bit id-hash collision
-    # exists (never alias two conversations).
+    # union-find exchange) moves 8-byte ints instead of strings. The
+    # stage kernels are the same either way (the codec in ids.py is the
+    # only code that tells the codings apart), and output is
+    # bit-identical (rank order == UTF-8 order == the oracle's labeling
+    # order). The bridge declines — the run then shuffles strings —
+    # when the id column exceeds bridge_max_bytes (the single-object
+    # broadcast ceiling) or a 64-bit id-hash collision exists (never
+    # alias two conversations).
     dense_ids: bool = True
     bridge_max_bytes: int = 2 << 30
     # input layout: "shuffled" (always correct) or "conv_grouped" — the

@@ -89,25 +89,23 @@ def resolve_input_layout(layout: str, transcripts_ds,
     list) takes precedence over ``transcripts_ds.input_files()`` —
     readers that normalize through map_batches (sources.readers.
     read_transcripts) erase input-file metadata, so callers that know
-    the source path must pass it. Non-file-backed datasets fall back to
-    the always-correct shuffled path."""
+    the source path must pass it. Only Parquet is probed: a file list
+    with any other file, and a dataset with no input files, take the
+    always-correct shuffled path. A probe that fails raises."""
     if layout != "auto":
         return layout
     files = input_paths
     if files is None:
-        try:
-            files = transcripts_ds.input_files()
-        except Exception:
-            files = []
-    if not files:
+        files = transcripts_ds.input_files()
+    if isinstance(files, str) and not os.path.isdir(files):
+        files = [files]
+    # a directory is probed over its .parquet files (detect_input_layout)
+    if not files or not (isinstance(files, str) or all(
+            str(f).endswith(".parquet") for f in files)):
         return "shuffled"
     from ..sources.readers import detect_input_layout
 
-    try:
-        return detect_input_layout(files)
-    except Exception:
-        # non-parquet sources (jsonl/csv) can't be probed — stay safe
-        return "shuffled"
+    return detect_input_layout(files)
 
 
 class DedupPipeline(CheckpointedPipeline):

@@ -23,6 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .context import auto_partitions
+from .ids import local_codes
 
 
 def _project(b: pa.Table, key: str, ts: str, keep: list[str],
@@ -37,22 +38,6 @@ def _project(b: pa.Table, key: str, ts: str, keep: list[str],
         cols[name] = pa.nulls(len(b), typ)
     cols["__tag"] = pa.array(np.full(len(b), tag, dtype=np.int8))
     return pa.table(cols)
-
-
-def _tie_ranks(col) -> np.ndarray:
-    """Ordering key for the tie-break column: numeric columns pass
-    through; strings rank via dictionary_encode + sort_indices (UTF-8
-    byte order == codepoint order), never an object-array sort."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    if pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type):
-        d = arr.dictionary_encode()
-        codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        sort_idx = pc.sort_indices(d.dictionary).to_numpy(
-            zero_copy_only=False)
-        rank_of = np.empty(len(d.dictionary), dtype=np.int64)
-        rank_of[sort_idx] = np.arange(len(d.dictionary))
-        return rank_of[codes]
-    return arr.to_numpy(zero_copy_only=False)
 
 
 def _match(b: pa.Table, left_keep: list[str], right_keep: list[str],
@@ -91,7 +76,8 @@ def _match(b: pa.Table, left_keep: list[str], right_keep: list[str],
     rc = rcode.astype(np.int64) * M + np.searchsorted(uts, rts)
     lc = lcode.astype(np.int64) * M + np.searchsorted(uts, lts)
     if tie_col:
-        order = np.lexsort((_tie_ranks(rt.column(tie_col)), rc))
+        # order-preserving codes of the tie column (strings included)
+        order = np.lexsort((local_codes(rt.column(tie_col))[0], rc))
     else:
         # stable: equal (key, ts) ties keep right input order, matching
         # merge_asof's "last row wins" on the stably pre-sorted frame

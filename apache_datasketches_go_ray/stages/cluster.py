@@ -12,10 +12,11 @@ no driver-side row loops, no Dataset.join.
   small-star(u): for neighbors v <= u, rewire v and u to
                  m = min({v in N(u): v <= u} ∪ {u})
 
-Per-block vectorization: conv_id strings are encoded once per block with
-``np.unique`` (block-local integer codes that preserve global string
-order, so min-by-code == min-by-string), and every star operation is
-reduceat/mask arithmetic over the codes. Edges are deduped in-block (the
+Per-block vectorization: ids are coded once per block with
+``stages/ids.local_codes`` (block-local integer codes that preserve id
+order, so min-by-code == min-by-id, for string, bridge-rank and integer
+ids alike), and every star operation is reduceat/mask arithmetic over
+the codes. Edges are deduped in-block (the
 only place duplicates can meet is the block that owns their source key),
 so no separate dedup shuffle is needed — one shuffle per star, two per
 round, one materialization per round.
@@ -39,47 +40,10 @@ import ray.data
 
 from .arrow_util import as_array
 from ..functions.murmur3 import fmix64, hash_strings
+from .ids import id_keys, id_type, ids_at, local_codes, map_decode, map_encode
 
 # target edges per shuffle partition when auto-sizing
 _EDGES_PER_PART = 50_000
-
-
-def _encode_block(batch: pa.Table, c0: str, c1: str):
-    """(id col, id col) -> (codes0, codes1, decode table). Block-local
-    codes preserve global id order.
-
-    String columns: one ``dictionary_encode`` over both endpoint
-    columns, then a rank table from ``sort_indices`` on the (small)
-    dictionary — UTF-8 byte order == codepoint order, so rank order
-    matches the lexicographic order the single-process oracle labels
-    by. No Python string objects are materialized per row.
-
-    Integer columns (dense-id mode, stages/ids.py): ``np.unique`` gives
-    sorted local codes directly — global ranks already order like the
-    strings they encode, so min-by-code == min-by-string throughout."""
-    import pyarrow.compute as pc
-
-    col0 = as_array(batch.column(c0))
-    if pa.types.is_integer(col0.type):
-        both_np = np.concatenate([
-            col0.to_numpy(zero_copy_only=False),
-            as_array(batch.column(c1)).to_numpy(zero_copy_only=False),
-        ]).astype(np.uint64)
-        uniq_np, codes = np.unique(both_np, return_inverse=True)
-        codes = codes.astype(np.int64)
-        n = len(batch)
-        return codes[:n], codes[n:], uniq_np
-    both = pa.concat_arrays([col0, as_array(batch.column(c1))])
-    d = pc.dictionary_encode(both)
-    codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    dict_arr = d.dictionary
-    sort_idx = pc.sort_indices(dict_arr).to_numpy(zero_copy_only=False)
-    rank_of_code = np.empty(len(dict_arr), dtype=np.int64)
-    rank_of_code[sort_idx] = np.arange(len(dict_arr), dtype=np.int64)
-    uniq = dict_arr.take(pa.array(sort_idx))
-    ranks = rank_of_code[codes]
-    n = len(batch)
-    return ranks[:n], ranks[n:], uniq
 
 
 def _dedup_codes(u: np.ndarray, v: np.ndarray, k: int):
@@ -88,24 +52,9 @@ def _dedup_codes(u: np.ndarray, v: np.ndarray, k: int):
     return key // k, key % k
 
 
-def _emit(uniq, a: np.ndarray, b: np.ndarray) -> pa.Table:
-    if isinstance(uniq, np.ndarray):
-        return pa.table({
-            "a": pa.array(uniq[a], type=pa.uint64()),
-            "b": pa.array(uniq[b], type=pa.uint64()),
-        })
-    return pa.table({
-        "a": uniq.take(pa.array(a)).cast(pa.string()),
-        "b": uniq.take(pa.array(b)).cast(pa.string()),
-    })
-
-
 def _explode_bidirectional(batch: pa.Table) -> pa.Table:
     a = as_array(batch.column("a"))
     b = as_array(batch.column("b"))
-    if not pa.types.is_integer(a.type):
-        a = a.cast(pa.string())
-        b = b.cast(pa.string())
     return pa.table({
         "u": pa.concat_arrays([a, b]),
         "v": pa.concat_arrays([b, a]),
@@ -121,22 +70,18 @@ def _group_starts(u_sorted: np.ndarray):
     return starts, counts
 
 
-def _empty_edges(batch: pa.Table) -> pa.Table:
-    t = pa.uint64() if ("u" in batch.column_names
-                        and pa.types.is_integer(batch.column("u").type)) \
-        or ("a" in batch.column_names
-            and pa.types.is_integer(batch.column("a").type)) \
-        else pa.string()
-    return pa.table({"a": pa.array([], type=t),
-                     "b": pa.array([], type=t)})
+def _empty(batch: pa.Table, names) -> pa.Table:
+    """Zero-row output block, ids typed like the input's ``u``."""
+    t = id_type(batch, "u")
+    return pa.schema([(n, t) for n in names]).empty_table()
 
 
 def _star_block(batch: pa.Table, large: bool) -> pa.Table:
     """One star operation over all nodes whose neighborhoods live in this
     block (hash-partitioned on u). Fully vectorized on block-local codes."""
     if len(batch) == 0:
-        return _empty_edges(batch)
-    u, v, uniq = _encode_block(batch, "u", "v")
+        return _empty(batch, ["a", "b"])
+    u, v, uniq = local_codes(batch.column("u"), batch.column("v"))
     k = len(uniq)
     u, v = _dedup_codes(u, v, k)            # sorted by (u, v)
     starts, counts = _group_starts(u)
@@ -158,10 +103,8 @@ def _star_block(batch: pa.Table, large: bool) -> pa.Table:
         keep_node = nodes != m
         a_c = np.concatenate([grp_m[mask], m[keep_node]])
         b_c = np.concatenate([v[mask], nodes[keep_node]])
-    if len(a_c) == 0:
-        return _empty_edges(batch)
     a_c, b_c = _dedup_codes(a_c, b_c, k)
-    return _emit(uniq, a_c, b_c)
+    return pa.table({"a": ids_at(uniq, a_c), "b": ids_at(uniq, b_c)})
 
 
 def _checksum_block(batch: pa.Table) -> pa.Table:
@@ -170,16 +113,8 @@ def _checksum_block(batch: pa.Table) -> pa.Table:
     if n == 0:
         return pa.table({"n": pa.array([0], type=pa.int64()),
                          "h": pa.array([0], type=pa.uint64())})
-    a_col = as_array(batch.column("a"))
-    if pa.types.is_integer(a_col.type):
-        ha = fmix64(a_col.to_numpy(zero_copy_only=False)
-                    .astype(np.uint64))
-        hb = fmix64(as_array(batch.column("b"))
-                    .to_numpy(zero_copy_only=False).astype(np.uint64))
-    else:
-        ha, _ = hash_strings(a_col)
-        hb, _ = hash_strings(as_array(batch.column("b")))
-    h = fmix64(ha * np.uint64(3) ^ hb)
+    h = fmix64(id_keys(batch.column("a")) * np.uint64(3)
+               ^ id_keys(batch.column("b")))
     with np.errstate(over="ignore"):
         total = np.uint64(np.sum(h, dtype=np.uint64))
     return pa.table({"n": pa.array([n], type=pa.int64()),
@@ -215,32 +150,30 @@ _LOCAL_EDGE_THRESHOLD = 2_000_000
 
 
 def _cluster_local(edges) -> pa.Table:
-    """Driver-side finish: gather the (pre-shrunk) edge set, code the ids
-    order-preservingly, run vectorized CC, emit min-member labels —
-    identical output to the distributed fixed point."""
+    """Driver-side finish: gather the (pre-shrunk, non-empty) edge set,
+    code the ids order-preservingly, run vectorized CC, emit min-member
+    labels — identical output to the distributed fixed point."""
     from ..state.unionfind import connected_components_numpy
 
     from .context import gather_table
 
-    try:
-        schema = edges.schema()
-    except Exception:
-        schema = None
-    dense = schema is not None and pa.types.is_integer(schema.types[0])
-    t = pa.uint64() if dense else pa.string()
-    tbl = gather_table(edges, schema=pa.schema([("a", t), ("b", t)]))
-    inv_a, inv_b, uniq = _encode_block(
-        tbl.rename_columns(["u", "v"]), "u", "v")
+    tbl = gather_table(edges)
+    inv_a, inv_b, uniq = local_codes(tbl.column("a"), tbl.column("b"))
     labels = connected_components_numpy(inv_a, inv_b, len(uniq))
-    if isinstance(uniq, np.ndarray):
-        return pa.table({
-            "conv_id": pa.array(uniq, type=pa.uint64()),
-            "cluster_id": pa.array(uniq[labels], type=pa.uint64()),
-        })
-    return pa.table({
-        "conv_id": uniq.cast(pa.string()),
-        "cluster_id": uniq.take(pa.array(labels)).cast(pa.string()),
-    })
+    return pa.table({"conv_id": uniq, "cluster_id": ids_at(uniq, labels)})
+
+
+def _labels_block(batch: pa.Table) -> pa.Table:
+    """Fixed point: every edge is (component_min, member). Labels:
+    member -> min neighbor; centers label themselves."""
+    if len(batch) == 0:
+        return _empty(batch, ["conv_id", "cluster_id"])
+    u, v, uniq = local_codes(batch.column("u"), batch.column("v"))
+    u, v = _dedup_codes(u, v, len(uniq))
+    starts, _counts = _group_starts(u)
+    nodes = u[starts]
+    return pa.table({"conv_id": ids_at(uniq, nodes),
+                     "cluster_id": ids_at(uniq, np.minimum(nodes, v[starts]))})
 
 
 def cluster_edges(edges_ds, num_partitions: int, max_rounds: int = 40,
@@ -249,98 +182,46 @@ def cluster_edges(edges_ds, num_partitions: int, max_rounds: int = 40,
                   bridge_ref=None):
     """edge table (a, b) -> cluster assignment (conv_id, cluster_id).
 
-    Only nodes appearing in edges are returned (singleton convs are
-    implicit clusters of themselves). Small edge sets (<= local
-    threshold) finish with one driver-side vectorized CC pass instead of
-    paying per-round shuffle latency; round checkpoints apply to the
-    distributed path only (the local path is a single atomic step under
-    the pipeline's stage checkpoint).
+    Ids may be strings or integers; labels come back in the edges' id
+    type (string for an empty edge set). Only nodes appearing in edges
+    are returned (singleton convs are implicit clusters of themselves).
+    Small edge sets (<= local threshold) finish with one driver-side
+    vectorized CC pass instead of paying per-round shuffle latency;
+    round checkpoints apply to the distributed path only (the local
+    path is a single atomic step under the pipeline's stage checkpoint).
 
-    ``bridge_ref`` (stages/ids.py): string edges are encoded once to
-    dense u64 ranks, every star-round exchange moves 16-byte edges, and
-    the final labels are decoded — labels are bit-identical because
-    rank order == string order (min-by-rank == min-by-string)."""
-    empty = pa.table({"conv_id": pa.array([], type=pa.string()),
-                      "cluster_id": pa.array([], type=pa.string())})
-    edges = edges_ds.select_columns(["a", "b"])
-    if bridge_ref is not None:
-        import functools as _ft
-
-        from .verify import _encode_pairs
-
-        edges = edges.map_batches(
-            _ft.partial(_encode_pairs, bridge_ref=bridge_ref),
-            batch_format="pyarrow", zero_copy_batch=True)
-    edges = edges.materialize()
-
-    def _decode_labels(ds):
-        if bridge_ref is None:
-            return ds
-        from .ids import decode_ids
-
-        def dec(b: pa.Table) -> pa.Table:
-            if len(b) == 0:
-                return empty
-            return pa.table({
-                "conv_id": decode_ids(as_array(b.column("conv_id")),
-                                      bridge_ref),
-                "cluster_id": decode_ids(as_array(b.column("cluster_id")),
-                                         bridge_ref),
-            })
-        return ds.map_batches(dec, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
+    ``bridge_ref`` codes string edges once for every star-round exchange
+    and decodes the labels (stages/ids.py); labels are the same either
+    way because rank order is string order."""
+    edges = map_encode(edges_ds.select_columns(["a", "b"]), ["a", "b"],
+                       bridge_ref).materialize()
     n_edges = edges.count()
     if n_edges == 0:
-        return ray.data.from_arrow(empty)
+        return ray.data.from_arrow(pa.table({
+            "conv_id": pa.array([], type=pa.string()),
+            "cluster_id": pa.array([], type=pa.string())}))
     if n_edges <= local_threshold:
-        return _decode_labels(ray.data.from_arrow(_cluster_local(edges)))
-    P = int(np.clip(-(-n_edges // _EDGES_PER_PART), 1, num_partitions))
-
-    fp = _fingerprint(edges)
-    for rnd in range(max_rounds):
-        # large-star then small-star, one materialization per round
-        edges = _star(_star(edges, P, large=True), P, large=False).materialize()
-        if checkpoint_cb is not None:
-            checkpoint_cb(rnd, edges)
-        new_fp = _fingerprint(edges)
-        if new_fp == fp:
-            break
-        fp = new_fp
-
-    # fixed point: every edge is (component_min, member). Labels: member ->
-    # min neighbor; centers label themselves.
-    def labels_block(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            if "u" in batch.column_names and \
-                    pa.types.is_integer(batch.column("u").type):
-                return pa.table({
-                    "conv_id": pa.array([], type=pa.uint64()),
-                    "cluster_id": pa.array([], type=pa.uint64())})
-            return empty
-        u, v, uniq = _encode_block(batch, "u", "v")
-        k = len(uniq)
-        u, v = _dedup_codes(u, v, k)
-        starts, _counts = _group_starts(u)
-        nodes = u[starts]
-        lab = np.minimum(nodes, v[starts])
-        if isinstance(uniq, np.ndarray):
-            return pa.table({
-                "conv_id": pa.array(uniq[nodes], type=pa.uint64()),
-                "cluster_id": pa.array(uniq[lab], type=pa.uint64()),
-            })
-        return pa.table({
-            "conv_id": uniq.take(pa.array(nodes)).cast(pa.string()),
-            "cluster_id": uniq.take(pa.array(lab)).cast(pa.string()),
-        })
-
-    return _decode_labels(
-        edges.map_batches(_explode_bidirectional, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .repartition(P, keys=["u"])
-        .map_batches(labels_block, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        labels = ray.data.from_arrow(_cluster_local(edges))
+    else:
+        P = int(np.clip(-(-n_edges // _EDGES_PER_PART), 1, num_partitions))
+        fp = _fingerprint(edges)
+        for rnd in range(max_rounds):
+            # large-star then small-star, one materialization per round
+            edges = _star(_star(edges, P, large=True), P,
+                          large=False).materialize()
+            if checkpoint_cb is not None:
+                checkpoint_cb(rnd, edges)
+            new_fp = _fingerprint(edges)
+            if new_fp == fp:
+                break
+            fp = new_fp
+        labels = (edges.map_batches(_explode_bidirectional,
+                                    batch_format="pyarrow",
+                                    zero_copy_batch=True)
+                  .repartition(P, keys=["u"])
+                  .map_batches(_labels_block, batch_format="pyarrow",
+                               batch_size=None, zero_copy_batch=True))
+    return map_decode(labels, ["conv_id", "cluster_id"], bridge_ref)
 
 
 def cluster_representatives(clusters_ds, turns_ds,

@@ -31,13 +31,6 @@ from .arrow_util import as_array
 from .cluster import cluster_edges
 from .context import auto_partitions
 
-_PAD = 20  # zero-pad width: lexicographic min == numeric min for int64 >= 0
-
-
-def _lpad(arr: pa.Array) -> pa.Array:
-    return pc.utf8_lpad(arr.cast(pa.string()), _PAD, "0")
-
-
 def connected_components(edges_ds, src: str = "a", dst: str = "b", *,
                          num_partitions: int = 8):
     """Undirected connected components over an (src, dst) edge table of
@@ -47,18 +40,18 @@ def connected_components(edges_ds, src: str = "a", dst: str = "b", *,
     the MINIMUM node id in the node's component. Only nodes that appear
     in at least one edge are returned (isolated nodes are implicit
     singleton components), matching the SQL min-label-propagation
-    fixpoint oracle.
+    fixpoint oracle. The int64 ids go through cluster_edges as they are.
     """
 
     def enc(b: pa.Table) -> pa.Table:
-        if len(b):
-            # self-loops add nothing (a singleton is its own component)
-            b = b.filter(pc.invert(pc.equal(b.column(src), b.column(dst))))
         if len(b) == 0:
-            return pa.table({"a": pa.array([], type=pa.string()),
-                             "b": pa.array([], type=pa.string())})
-        return pa.table({"a": _lpad(as_array(b.column(src))),
-                         "b": _lpad(as_array(b.column(dst)))})
+            return pa.schema([("a", pa.int64()), ("b", pa.int64())]
+                             ).empty_table()
+        a = as_array(b.column(src)).cast(pa.int64())
+        c = as_array(b.column(dst)).cast(pa.int64())
+        # self-loops add nothing (a singleton is its own component)
+        return pa.table({"a": a, "b": c}).filter(
+            pc.invert(pc.equal(a, c)))
 
     labs = cluster_edges(
         edges_ds.map_batches(enc, batch_format="pyarrow",
@@ -66,9 +59,6 @@ def connected_components(edges_ds, src: str = "a", dst: str = "b", *,
         num_partitions=num_partitions)
 
     def dec(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({"node": pa.array([], type=pa.int64()),
-                             "component": pa.array([], type=pa.int64())})
         return pa.table({
             "node": b.column("conv_id").cast(pa.int64()),
             "component": b.column("cluster_id").cast(pa.int64()),

@@ -34,16 +34,14 @@ import ray
 
 from ..config import DedupConfig
 from ..functions.murmur3 import hash_strings
+from .arrow_util import as_array
+from .ids import decode_columns, encode_columns, ids_at, local_codes
 
 
 def explode_bands(batch: pa.Table, bridge_ref=None,
                   band_filter_ref=None) -> pa.Table:
-    """signature rows -> (band_hash, conv_id, sig_digest) rows.
-
-    With a dense-id bridge (stages/ids.py) the exploded conv_id column
-    is the u64 lexicographic rank — the band shuffle then moves 8-byte
-    ints instead of id strings, and the in-block bucket scan skips the
-    per-block string dictionary/rank encode entirely.
+    """signature rows -> (band_hash, conv_id, sig_digest) rows, conv_id
+    coded by ``stages/ids.encode_columns``.
 
     ``band_filter_ref`` (sorted u64 band-hash set, ray.put once): only
     rows whose band hash is in the set are emitted — the incremental
@@ -56,8 +54,6 @@ def explode_bands(batch: pa.Table, bridge_ref=None,
 
 def _explode(batch: pa.Table, bridge_ref, band_filter_ref):
     """explode_bands plus each output row's source row index."""
-    from .arrow_util import as_array
-
     bands = as_array(batch.column("bands"))
     flat = bands.flatten().to_numpy(zero_copy_only=False)
     n_bands = len(flat) // max(len(batch), 1) if len(batch) else 0
@@ -67,15 +63,9 @@ def _explode(batch: pa.Table, bridge_ref, band_filter_ref):
         flat = flat[keep]
         rep = rep[keep]
     rep_pa = pa.array(rep)
-    if bridge_ref is not None:
-        from .ids import encode_ids
-
-        cid = encode_ids(batch.column("conv_id"), bridge_ref)
-        conv_col = pa.array(cid[rep], type=pa.uint64())
-    else:
-        conv_col = batch.column("conv_id").take(rep_pa)
+    conv = encode_columns(batch.select(["conv_id"]), ["conv_id"], bridge_ref)
     out = pa.table({"band_hash": pa.array(flat, type=pa.uint64()),
-                    "conv_id": conv_col,
+                    "conv_id": conv.column("conv_id").take(rep_pa),
                     "sig_digest": batch.column("sig_digest").take(rep_pa)})
     return out, rep
 
@@ -97,8 +87,6 @@ def detect_hot_bands(sig_ds, config: DedupConfig) -> np.ndarray:
     threshold = int(config.hot_sampled_count)
 
     def partial(batch: pa.Table) -> pa.Table:
-        from .arrow_util import as_array
-
         conv = as_array(batch.column("conv_id"))
         h, _ = hash_strings(conv)
         mask = h % rate == 0
@@ -154,12 +142,10 @@ def explode_bands_salted(batch: pa.Table, hot_ref,
                          band_filter_ref=None) -> pa.Table:
     """explode_bands + salt column: rows of hot buckets are spread by
     murmur(conv_id) % hot_key_salt (encoded in the salt value passed via
-    the broadcast tuple), others keep salt 0. The salt hash is ALWAYS
-    murmur of the conv_id STRING — identical with or without the
-    dense-id bridge, so the shard decomposition (and therefore the pair
-    set) is bit-identical across modes and matches the oracle."""
-    from .arrow_util import as_array
-
+    the broadcast tuple), others keep salt 0. The salt hash is murmur of
+    the conv_id STRING, taken before the id is coded, so the shard
+    decomposition (and therefore the pair set) does not depend on the
+    coding and matches the oracle."""
     hot, n_salt = ray.get(hot_ref)
     # one murmur per conv, gathered to its (possibly band-filtered)
     # rows through the explode's source-row index
@@ -175,8 +161,6 @@ def explode_bands_salted(batch: pa.Table, hot_ref,
 
 def _digest_matrix(col, n: int) -> np.ndarray:
     """Fixed-width large_binary digest column -> (n, slots) uint8."""
-    from .arrow_util import as_array
-
     arr = as_array(col)
     if n == 0:
         return np.empty((0, 0), dtype=np.uint8)
@@ -188,46 +172,14 @@ def _digest_matrix(col, n: int) -> np.ndarray:
     return vals[base : base + n * width].reshape(n, width)
 
 
-def _rank_encode(batch: pa.Table):
-    """conv_id column -> (lexicographic int64 ranks, rank -> string map).
-
-    Dictionary-encode once, rank the (small) dictionary with Arrow's
-    sort, and work in int64 ranks from there: bucket scans never touch
-    Python strings, and rank order == UTF-8 order == the lexicographic
-    member order the oracle uses (UTF-8 byte order preserves codepoint
-    order), so pair canonicalization is unchanged."""
-    from .arrow_util import as_array
-
-    import pyarrow.compute as pc
-
-    d = as_array(pc.dictionary_encode(as_array(batch.column("conv_id"))))
-    codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    dict_arr = d.dictionary
-    sort_idx = pc.sort_indices(dict_arr).to_numpy(zero_copy_only=False)
-    rank_of_code = np.empty(len(dict_arr), dtype=np.int64)
-    rank_of_code[sort_idx] = np.arange(len(dict_arr), dtype=np.int64)
-    sorted_strings = dict_arr.take(pa.array(sort_idx))
-    return rank_of_code[codes], sorted_strings
-
-
 def _sorted_groups(batch: pa.Table, with_salt: bool):
     """Sort the block's band rows by (band[, salt], member-rank) and
     reduce to one row per (bucket, member): returns
-    (m_rank, m_dig, bucket_sizes, bucket_offsets, bucket_bh,
-    rank_to_string)."""
+    (m_rank, m_dig, bucket_sizes, bucket_offsets, bucket_bh, uniq),
+    member ranks being ``stages/ids.local_codes`` codes."""
     n = len(batch)
     bh = batch.column("band_hash").to_numpy(zero_copy_only=False)
-    conv_col = batch.column("conv_id")
-    conv_type = conv_col.type if not hasattr(conv_col, "chunks") else \
-        conv_col.type
-    if pa.types.is_integer(conv_type):
-        # dense-id mode: the column already holds global lexicographic
-        # ranks — ordering by rank == ordering by conv string, no
-        # per-block string dictionary/sort needed
-        rank = conv_col.to_numpy(zero_copy_only=False).astype(np.int64)
-        strings = None
-    else:
-        rank, strings = _rank_encode(batch)
+    rank, uniq = local_codes(batch.column("conv_id"))
     dig = _digest_matrix(batch.column("sig_digest"), n)
     if with_salt:
         salt = batch.column("salt").to_numpy(zero_copy_only=False)
@@ -257,7 +209,7 @@ def _sorted_groups(batch: pa.Table, with_salt: bool):
     boffs = np.concatenate([[0], np.cumsum(sizes)])[:-1]
     bucket_bh = bh_s[mrows][boffs] if len(mrows) else \
         np.empty(0, dtype=np.uint64)
-    return m_rank, m_dig, sizes, boffs, bucket_bh, strings
+    return m_rank, m_dig, sizes, boffs, bucket_bh, uniq
 
 
 def _vector_pairs(m_rank, m_dig, sizes, boffs, max_group, min_matches):
@@ -290,15 +242,11 @@ def _vector_pairs(m_rank, m_dig, sizes, boffs, max_group, min_matches):
     return np.concatenate(a_out), np.concatenate(b_out)
 
 
-def _ranks_to_strings(ranks: np.ndarray, strings,
-                      bridge_ref=None) -> pa.Array:
-    if len(ranks) == 0:
-        return pa.array([], type=pa.string())
-    if strings is None:
-        from .ids import decode_ids
-
-        return decode_ids(ranks.astype(np.uint64), bridge_ref)
-    return strings.take(pa.array(ranks)).cast(pa.string())
+def _pair_table(uniq, a, b, bridge_ref) -> pa.Table:
+    """Pair codes -> (a, b) conv_id strings, whatever the id coding."""
+    return decode_columns(pa.table({"a": ids_at(uniq, a),
+                                    "b": ids_at(uniq, b)}),
+                          ["a", "b"], bridge_ref)
 
 
 def pairs_in_block(batch: pa.Table, max_group: int,
@@ -307,13 +255,12 @@ def pairs_in_block(batch: pa.Table, max_group: int,
     this block. A pair survives only if >= min_matches of its sampled
     signature slots agree - rejecting the mass of low-Jaccard band
     collisions here, before any payload ever ships. Output pairs are
-    always conv_id STRINGS (the stage decodes dense ids on exit, so the
-    pairs surface/checkpoint schema is mode-independent)."""
-    m_rank, m_dig, sizes, boffs, _bh, strings = _sorted_groups(batch, False)
+    decoded conv_id strings, so the pairs surface schema does not
+    depend on the id coding."""
+    m_rank, m_dig, sizes, boffs, _bh, uniq = _sorted_groups(batch, False)
     a, b = _vector_pairs(m_rank, m_dig, sizes, boffs, max_group,
                          min_matches)
-    return pa.table({"a": _ranks_to_strings(a, strings, bridge_ref),
-                     "b": _ranks_to_strings(b, strings, bridge_ref)})
+    return _pair_table(uniq, a, b, bridge_ref)
 
 
 def pairs_and_reps_in_block(batch: pa.Table, max_group: int,
@@ -323,50 +270,31 @@ def pairs_and_reps_in_block(batch: pa.Table, max_group: int,
     additionally emit one representative row (their min member + digest)
     per shard for the cross-shard chaining pass. Output union schema:
     pair rows (is_rep=false, a/b set) and rep rows (is_rep=true,
-    band_hash/conv_id/sig_digest set)."""
+    band_hash/conv_id/sig_digest set; conv_id stays coded, the
+    representative pass re-enters pairs_in_block)."""
     hot, _n_salt = ray.get(hot_ref)
-    m_rank, m_dig, sizes, boffs, bucket_bh, strings = \
+    m_rank, m_dig, sizes, boffs, bucket_bh, uniq = \
         _sorted_groups(batch, True)
     a, b = _vector_pairs(m_rank, m_dig, sizes, boffs, max_group,
                          min_matches)
-    hot_sel = np.flatnonzero(_in_sorted(bucket_bh, hot)) \
-        if len(bucket_bh) else np.empty(0, dtype=np.int64)
-    rep_bh = bucket_bh[hot_sel]
-    rep_rank = m_rank[boffs[hot_sel]] if len(hot_sel) else \
-        np.empty(0, dtype=np.int64)
-    rep_dig = [m_dig[o].tobytes() for o in boffs[hot_sel]]
-    n_p, n_r = len(a), len(rep_bh)
-    a_str = _ranks_to_strings(a, strings, bridge_ref)
-    b_str = _ranks_to_strings(b, strings, bridge_ref)
-    if strings is None:
-        # dense mode: rep rows keep their u64 ranks — the representative
-        # second pass re-enters pairs_in_block in dense mode and decodes
-        # its own pair output
-        rep_col = pa.concat_arrays([
-            pa.nulls(n_p, pa.uint64()),
-            pa.array(rep_rank.astype(np.uint64), type=pa.uint64())])
-    else:
-        rep_col = pa.concat_arrays([
-            pa.nulls(n_p, pa.string()),
-            _ranks_to_strings(rep_rank, strings)])
-    return pa.table({
-        "a": pa.concat_arrays([a_str, pa.nulls(n_r, pa.string())]),
-        "b": pa.concat_arrays([b_str, pa.nulls(n_r, pa.string())]),
-        "band_hash": pa.array(
-            np.concatenate([np.zeros(n_p, dtype=np.uint64), rep_bh]),
-            type=pa.uint64()),
-        "conv_id": rep_col,
-        "sig_digest": pa.array([None] * n_p + rep_dig,
+    hot_sel = np.flatnonzero(_in_sorted(bucket_bh, hot))
+    reps = pa.table({
+        "band_hash": pa.array(bucket_bh[hot_sel], type=pa.uint64()),
+        "conv_id": ids_at(uniq, m_rank[boffs[hot_sel]]),
+        "sig_digest": pa.array([m_dig[o].tobytes() for o in boffs[hot_sel]],
                                type=pa.large_binary()),
-        "is_rep": pa.array([False] * n_p + [True] * n_r),
     })
+    pairs = _pair_table(uniq, a, b, bridge_ref)
+    return pa.concat_tables([
+        pairs.append_column("is_rep", pa.array(np.zeros(len(pairs), bool))),
+        reps.append_column("is_rep", pa.array(np.ones(len(reps), bool))),
+    ], promote_options="default")
 
 
 def dedup_pairs_block(batch: pa.Table) -> pa.Table:
     """Per-block pair dedup (pairs were hash-partitioned on (a, b))."""
     if len(batch) == 0:
         return batch
-    import pyarrow.compute as pc
     return batch.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
 
 
@@ -381,10 +309,8 @@ def candidate_pairs(sig_ds, config: DedupConfig, *, dedup: bool = True,
     happens for free inside that join's block scan and the extra
     all-to-all exchange is skipped.
 
-    ``bridge_ref`` (stages/ids.py): when set, the band shuffle carries
-    dense u64 conv ranks instead of id strings and the bucket scan skips
-    per-block string encoding; output pairs are decoded back to strings,
-    so the result is bit-identical either way."""
+    ``bridge_ref`` codes the shuffled conv ids (stages/ids.py); output
+    pairs are strings either way."""
     import functools
 
     from .context import auto_partitions

@@ -1013,7 +1013,9 @@ def filter_above_group_quantile(ds, key: str, val_col: str,
         np.not_equal(sk[1:], sk[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         lens = np.diff(np.append(starts, len(sk)))
-        thr_idx = starts + np.ceil(q * lens).astype(np.int64) - 1
+        # q=0 keeps the whole group: clamp the rank to its first row
+        thr_idx = starts + np.maximum(
+            np.ceil(q * lens).astype(np.int64), 1) - 1
         thr = np.repeat(sv[thr_idx], lens)
         keep_sorted = sv >= thr
         keep = np.zeros(len(sk), dtype=bool)

@@ -42,6 +42,7 @@ import pyarrow.compute as pc
 from ..config import DedupConfig
 from ..functions.murmur3 import hash_strings
 from .arrow_util import as_array
+from .ids import decode_columns, ids_at, local_codes, map_encode
 
 _ROWS_SCHEMA = pa.schema([("conv_id", pa.string()), ("h", pa.uint64())])
 _PAIRS_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string())])
@@ -76,30 +77,11 @@ def pairs_block(batch: pa.Table, max_convs: int,
     co-locates every copy), then every bucket with 2..max_convs member
     conversations emits its full pair set — vectorized per distinct
     bucket size, the same expansion pattern as lsh._vector_pairs.
-
-    In dense-id mode (uint64 conv column, stages/ids.py) the ranks ARE
-    the global lexicographic order, so the per-block string
-    dictionary/sort is skipped and pairs are decoded on exit — output
-    is bit-identical to the string path."""
+    Pairs come out as conv_id strings whatever the id coding."""
     if len(batch) == 0:
         return _PAIRS_SCHEMA.empty_table()
     d = batch.group_by(["h", "conv_id"]).aggregate([])
-    conv = as_array(d.column("conv_id"))
-    if pa.types.is_integer(conv.type):
-        rank = conv.to_numpy(zero_copy_only=False).astype(np.int64)
-        sorted_strings = None
-    else:
-        dict_arr = as_array(pc.dictionary_encode(conv))
-        codes = dict_arr.indices.to_numpy(zero_copy_only=False)
-        # rank table: pair order must match lexicographic conv order (the
-        # oracle emits sorted pairs; UTF-8 byte order == codepoint order)
-        sort_idx = pc.sort_indices(dict_arr.dictionary)
-        rank_of = np.empty(len(dict_arr.dictionary), dtype=np.int64)
-        rank_of[sort_idx.to_numpy(zero_copy_only=False)] = \
-            np.arange(len(dict_arr.dictionary))
-        rank = rank_of[codes]
-        sorted_strings = dict_arr.dictionary.take(sort_idx)
-
+    rank, uniq = local_codes(d.column("conv_id"))
     h = d.column("h").to_numpy(zero_copy_only=False)
     order = np.lexsort((rank, h))
     h_s, r_s = h[order], rank[order]
@@ -121,19 +103,10 @@ def pairs_block(batch: pa.Table, max_convs: int,
         b_out.append(mem[:, ib].reshape(-1))
     if not a_out:
         return _PAIRS_SCHEMA.empty_table()
-    a = np.concatenate(a_out)
-    b = np.concatenate(b_out)
-    if sorted_strings is None:
-        from .ids import decode_ids
-
-        return pa.table({
-            "a": decode_ids(a.astype(np.uint64), bridge_ref),
-            "b": decode_ids(b.astype(np.uint64), bridge_ref),
-        })
-    return pa.table({
-        "a": sorted_strings.take(pa.array(a)).cast(pa.string()),
-        "b": sorted_strings.take(pa.array(b)).cast(pa.string()),
-    })
+    return decode_columns(
+        pa.table({"a": ids_at(uniq, np.concatenate(a_out)),
+                  "b": ids_at(uniq, np.concatenate(b_out))}),
+        ["a", "b"], bridge_ref)
 
 
 def turn_hash_dataset(transcripts_ds, config: DedupConfig):
@@ -174,19 +147,6 @@ def hashes_from_assembled(assembled_ds, config: DedupConfig):
                                     zero_copy_batch=True)
 
 
-def _encode_rows(batch: pa.Table, bridge_ref) -> pa.Table:
-    """(conv_id string, h) -> (conv_id u64 rank, h): the turn-hash
-    shuffle then moves 16 bytes/row instead of a string + u64."""
-    from .ids import encode_ids
-
-    if len(batch) == 0:
-        return pa.table({"conv_id": pa.array([], type=pa.uint64()),
-                         "h": pa.array([], type=pa.uint64())})
-    cid = encode_ids(batch.column("conv_id"), bridge_ref)
-    return pa.table({"conv_id": pa.array(cid, type=pa.uint64()),
-                     "h": batch.column("h")})
-
-
 def _filter_hashes(batch: pa.Table, hash_filter_ref) -> pa.Table:
     """Keep only rows whose turn hash is in the broadcast sorted set
     (the increment's hashes): buckets without a new conv can only
@@ -207,10 +167,10 @@ def _filter_hashes(batch: pa.Table, hash_filter_ref) -> pa.Table:
 def pairs_from_hashes(hash_ds, config: DedupConfig, bridge_ref=None,
                       hash_filter_ref=None):
     """(conv_id, h) rows -> candidate pair dataset (a < b, not deduped —
-    verify's first co-partition join dedups for free). With a dense-id
-    bridge the conv column is encoded to u64 ranks BEFORE the keyed
-    shuffle (the checkpointable hash surface keeps strings);
-    ``hash_filter_ref`` restricts rows to an increment's turn-hash set
+    verify's first co-partition join dedups for free). ``bridge_ref``
+    codes the conv column before the keyed shuffle (stages/ids.py; the
+    checkpointable hash surface keeps strings); ``hash_filter_ref``
+    restricts rows to an increment's turn-hash set
     before the shuffle (exact — see _filter_hashes).
 
     The shuffle is sized to the rows it moves (context.auto_partitions,
@@ -223,11 +183,7 @@ def pairs_from_hashes(hash_ds, config: DedupConfig, bridge_ref=None,
             functools.partial(_filter_hashes,
                               hash_filter_ref=hash_filter_ref),
             batch_format="pyarrow", zero_copy_batch=True)
-    if bridge_ref is not None:
-        hash_ds = hash_ds.map_batches(
-            functools.partial(_encode_rows, bridge_ref=bridge_ref),
-            batch_format="pyarrow", zero_copy_batch=True)
-    hash_ds = hash_ds.materialize()
+    hash_ds = map_encode(hash_ds, ["conv_id"], bridge_ref).materialize()
     P = auto_partitions(hash_ds.count(), _ROWS_PER_PARTITION,
                         config.num_partitions)
     return (hash_ds.repartition(P, keys=["h"])

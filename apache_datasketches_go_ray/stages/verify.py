@@ -39,9 +39,10 @@ import pyarrow.compute as pc
 import ray
 
 from ..config import DedupConfig
-from ..functions.murmur3 import hash_strings
 from ..functions.suffixarray import longest_common_substring
 from .arrow_util import as_array
+from .ids import encode_columns, id_keys, id_type, map_decode, map_encode
+from .lsh import _in_sorted
 
 _VERIFY_SCHEMA = pa.schema([
     ("a", pa.string()), ("b", pa.string()), ("jaccard", pa.float64()),
@@ -56,44 +57,12 @@ _VERIFY_SCHEMA = pa.schema([
 
 def _filter_to_candidates(batch: pa.Table, ids_ref,
                           bridge_ref=None) -> pa.Table:
-    """Keep rows whose hashed conv_id is in the broadcast sorted array.
-    In dense-id mode the broadcast array holds u64 ranks and the probe
-    key is the bridge encoding instead of the raw hash (exact, not
-    collision-tolerant)."""
-    hashes = ray.get(ids_ref)  # sorted uint64 np array; plasma zero-copy
-    conv = as_array(batch.column("conv_id"))
-    if bridge_ref is not None:
-        from .ids import encode_ids
-
-        h = encode_ids(conv, bridge_ref)
-    else:
-        h, _ = hash_strings(conv)
-    idx = np.searchsorted(hashes, h)
-    idx[idx >= len(hashes)] = 0
-    mask = hashes[idx] == h if len(hashes) else np.zeros(len(h), dtype=bool)
-    return batch.filter(pa.array(mask))
-
-
-def _encode_pairs(batch: pa.Table, bridge_ref) -> pa.Table:
-    """(a, b) string pairs -> u64 rank pairs (other columns carried)."""
-    from .ids import encode_ids
-
-    a = pa.array(encode_ids(batch.column("a"), bridge_ref),
-                 type=pa.uint64())
-    b = pa.array(encode_ids(batch.column("b"), bridge_ref),
-                 type=pa.uint64())
-    out = batch.set_column(batch.column_names.index("a"), "a", a)
-    return out.set_column(out.column_names.index("b"), "b", b)
-
-
-def _decode_pairs(batch: pa.Table, bridge_ref) -> pa.Table:
-    """u64 rank pairs -> string pairs (round-trip of _encode_pairs)."""
-    from .ids import decode_ids
-
-    a = decode_ids(as_array(batch.column("a")), bridge_ref)
-    b = decode_ids(as_array(batch.column("b")), bridge_ref)
-    out = batch.set_column(batch.column_names.index("a"), "a", a)
-    return out.set_column(out.column_names.index("b"), "b", b)
+    """Code conv_id (stages/ids.encode_columns), then keep rows whose id
+    key (ids.id_keys) is in the broadcast sorted array. A 64-bit key
+    collision only keeps a harmless extra row."""
+    batch = encode_columns(batch, ["conv_id"], bridge_ref)
+    return batch.filter(pa.array(_in_sorted(id_keys(batch.column("conv_id")),
+                                            ray.get(ids_ref))))
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +72,7 @@ def _decode_pairs(batch: pa.Table, bridge_ref) -> pa.Table:
 def _tag_left(batch: pa.Table, key_col: str, sig_col: str) -> pa.Table:
     """Pair-side rows: key = endpoint id, null signature payload."""
     n = len(batch)
-    key = batch.column(key_col)
-    if not pa.types.is_integer(key.type):
-        key = key.cast(pa.string())
-    cols = {"key": key}
+    cols = {"key": batch.column(key_col)}
     for c in batch.column_names:
         cols[c] = batch.column(c)
     cols[sig_col] = pa.nulls(n, pa.large_binary())
@@ -114,19 +80,10 @@ def _tag_left(batch: pa.Table, key_col: str, sig_col: str) -> pa.Table:
     return pa.table(cols)
 
 
-def _tag_right(batch: pa.Table, pair_cols, sig_col: str,
-               bridge_ref=None) -> pa.Table:
-    """Signature-side rows: key = conv_id (u64 rank in dense mode),
-    null pair payload."""
+def _tag_right(batch: pa.Table, pair_cols, sig_col: str) -> pa.Table:
+    """Signature-side rows: key = conv_id, null pair payload."""
     n = len(batch)
-    if bridge_ref is not None:
-        from .ids import encode_ids
-
-        key = pa.array(encode_ids(batch.column("conv_id"), bridge_ref),
-                       type=pa.uint64())
-    else:
-        key = batch.column("conv_id").cast(pa.string())
-    cols = {"key": key}
+    cols = {"key": batch.column("conv_id")}
     for c, typ in pair_cols:
         cols[c] = pa.nulls(n, typ)
     cols[sig_col] = batch.column("shingles")
@@ -153,7 +110,7 @@ def _block_join(batch: pa.Table, sig_col: str,
 
 
 def _attach_endpoint(ds, cand_sigs, key_col: str, suffix: str, P: int,
-                     dedup_pairs: bool = False, bridge_ref=None):
+                     dedup_pairs: bool = False):
     """ds (pair rows) + cand_sigs -> ds with shingles_<suffix>."""
     sig_col = f"shingles_{suffix}"
     schema = ds.schema()
@@ -163,8 +120,7 @@ def _attach_endpoint(ds, cand_sigs, key_col: str, suffix: str, P: int,
         functools.partial(_tag_left, key_col=key_col, sig_col=sig_col),
         batch_format="pyarrow", zero_copy_batch=True)
     right = cand_sigs.map_batches(
-        functools.partial(_tag_right, pair_cols=pair_cols, sig_col=sig_col,
-                          bridge_ref=bridge_ref),
+        functools.partial(_tag_right, pair_cols=pair_cols, sig_col=sig_col),
         batch_format="pyarrow", zero_copy_batch=True)
     return (
         left.union(right)
@@ -205,16 +161,10 @@ def _binary_views(col, n: int):
 def _verify_batch(batch: pa.Table, cfg: DedupConfig) -> pa.Table:
     n = len(batch)
     if n == 0:
-        if "a" in batch.column_names and \
-                pa.types.is_integer(batch.column("a").type):
-            # dense-id mode: keep u64 endpoints in the empty block so
-            # schemas stay consistent across blocks
-            return pa.schema([
-                ("a", pa.uint64()), ("b", pa.uint64()),
-                ("jaccard", pa.float64()), ("containment", pa.float64()),
-                ("method", pa.string()), ("is_dup", pa.bool_()),
-            ]).empty_table()
-        return _VERIFY_SCHEMA.empty_table()
+        # endpoints keep their id type, so schemas agree across blocks
+        t = id_type(batch, "a")
+        return pa.schema([("a", t), ("b", t)] + list(_VERIFY_SCHEMA)[2:]
+                         ).empty_table()
     from ..functions.jaccard import intersect_sizes_pairs
 
     u64a, st_a, null_a = _binary_views(batch.column("shingles_a"), n)
@@ -253,7 +203,7 @@ def _verify_batch(batch: pa.Table, cfg: DedupConfig) -> pa.Table:
 
 def _resolve_containment(batch: pa.Table, texts_ref,
                          cfg: DedupConfig) -> pa.Table:
-    texts = ray.get(texts_ref)  # dict conv_id (str, or u64 rank) -> text
+    texts = ray.get(texts_ref)  # dict conv_id -> text
     a = batch.column("a").to_pylist()
     b = batch.column("b").to_pylist()
     # slice the broadcast dict into two aligned lists up front — one
@@ -280,10 +230,9 @@ def _resolve_containment(batch: pa.Table, texts_ref,
     })
 
 
-def _collect_texts(texts_ds, ids: set, bridge_ref=None) -> dict:
-    """Filter texts_ds to the (tiny) id set and collect a lookup dict.
-    In dense-id mode ``ids`` are u64 ranks: they are decoded to strings
-    for the text filter and the returned dict is keyed by rank.
+def _collect_texts(texts_ds, ids: set) -> dict:
+    """Filter texts_ds to the (tiny) conv_id string set and collect a
+    lookup dict.
 
     Driver-memory bound: O(containment-candidate texts). Candidates are
     pairs with shingle containment >= containment_threshold but Jaccard
@@ -295,18 +244,8 @@ def _collect_texts(texts_ds, ids: set, bridge_ref=None) -> dict:
     stage is stateless across chunks), trading passes for memory."""
     if not ids:
         return {}
-    rank_of: dict = {}
-    if bridge_ref is not None:
-        from .ids import decode_ids
-
-        ranks = np.asarray(sorted(int(i) for i in ids), dtype=np.uint64)
-        strs = decode_ids(ranks, bridge_ref).to_pylist()
-        rank_of = dict(zip(strs, (int(r) for r in ranks)))
-        str_ids = set(strs)
-    else:
-        str_ids = ids
-    h, _ = hash_strings(sorted(str_ids))
-    ids_ref = ray.put(np.unique(h))
+    ids_ref = ray.put(np.unique(id_keys(pa.array(sorted(ids),
+                                                 type=pa.string()))))
     out: dict = {}
     filt = texts_ds.select_columns(["conv_id", "text"]).map_batches(
         functools.partial(_filter_to_candidates, ids_ref=ids_ref),
@@ -314,9 +253,8 @@ def _collect_texts(texts_ds, ids: set, bridge_ref=None) -> dict:
     for blk in filt.iter_batches(batch_size=None, batch_format="pyarrow"):
         for cid, txt in zip(blk.column("conv_id").to_pylist(),
                             blk.column("text").to_pylist()):
-            if cid in str_ids:
-                out[rank_of.get(cid, cid) if bridge_ref is not None
-                    else cid] = txt
+            if cid in ids:
+                out[cid] = txt
     return out
 
 
@@ -329,8 +267,7 @@ _BCAST_CACHE: dict = {}
 
 
 def _broadcast_verify_batch(batch: pa.Table, cand_ref, cfg: DedupConfig,
-                            dedup_pairs: bool,
-                            bridge_ref=None) -> pa.Table:
+                            dedup_pairs: bool) -> pa.Table:
     """Map-only phase-1 verification against the broadcast candidates."""
     key = cand_ref.hex() if hasattr(cand_ref, "hex") else id(cand_ref)
     entry = _BCAST_CACHE.get(key)
@@ -338,32 +275,21 @@ def _broadcast_verify_batch(batch: pa.Table, cand_ref, cfg: DedupConfig,
         tbl = ray.get(cand_ref)
         # contiguous arrays once per actor; lookups below are Arrow
         # C++ kernels (index_in + take), never per-row Python
-        conv_arr = as_array(tbl.column("conv_id"))
-        if bridge_ref is not None:
-            from .ids import encode_ids
-
-            conv_arr = pa.array(encode_ids(conv_arr, bridge_ref),
-                                type=pa.uint64())
-        entry = (conv_arr, as_array(tbl.column("shingles")))
+        entry = (as_array(tbl.column("conv_id")),
+                 as_array(tbl.column("shingles")))
         _BCAST_CACHE[key] = entry
     conv_arr, sh_arr = entry
     if dedup_pairs and len(batch):
         batch = batch.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
-    if bridge_ref is not None:
-        a_arr = as_array(batch.column("a"))
-        b_arr = as_array(batch.column("b"))
-    else:
-        a_arr = as_array(batch.column("a")).cast(pa.string())
-        b_arr = as_array(batch.column("b")).cast(pa.string())
-    ia = pc.index_in(a_arr, value_set=conv_arr)
-    ib = pc.index_in(b_arr, value_set=conv_arr)
-    joined = pa.table({
+    a_arr = as_array(batch.column("a"))
+    b_arr = as_array(batch.column("b"))
+    return _verify_batch(pa.table({
         "a": a_arr,
         "b": b_arr,
-        "shingles_a": sh_arr.take(ia),  # null index -> null payload
-        "shingles_b": sh_arr.take(ib),
-    })
-    return _verify_batch(joined, cfg)
+        # null index -> null payload
+        "shingles_a": sh_arr.take(pc.index_in(a_arr, value_set=conv_arr)),
+        "shingles_b": sh_arr.take(pc.index_in(b_arr, value_set=conv_arr)),
+    }), cfg)
 
 
 def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
@@ -383,10 +309,10 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
     if omitted and the signature table still carries a text column, that
     is used; with no text source, containment candidates are rejected.
 
-    ``bridge_ref`` (stages/ids.py): pairs are encoded to dense u64 ranks
-    on entry, so the dedup shuffle and both join forms key on 8-byte
-    ints; the output table is decoded back to strings (bit-identical
-    result either way).
+    ``bridge_ref`` codes the pair endpoints and candidate conv ids for
+    the dedup shuffle and both join forms (stages/ids.py); phase-1
+    output is decoded before the containment phase, so the result is
+    string-typed either way.
     """
     from .context import auto_partitions
 
@@ -398,28 +324,14 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
     if texts_ds is None and "text" in sig_ds.schema().names:
         texts_ds = sig_ds.select_columns(["conv_id", "text"])
 
-    if bridge_ref is not None:
-        # cheap vectorized map over the pinned pairs; every downstream
-        # shuffle/join then moves u64 endpoints
-        pairs_ds = pairs_ds.map_batches(
-            functools.partial(_encode_pairs, bridge_ref=bridge_ref),
-            batch_format="pyarrow", zero_copy_batch=True)
+    # cheap vectorized map over the pinned pairs; every downstream
+    # shuffle/join then moves coded endpoints
+    pairs_ds = map_encode(pairs_ds, ["a", "b"], bridge_ref)
 
     # ---- broadcast semi-join: shrink signatures to candidate ids ----
     def ids_block(b):
-        if bridge_ref is not None:
-            both = np.concatenate([
-                as_array(b.column("a")).to_numpy(zero_copy_only=False),
-                as_array(b.column("b")).to_numpy(zero_copy_only=False),
-            ]).astype(np.uint64) if len(b) else np.empty(0, np.uint64)
-            return pa.table({"h": pa.array(np.unique(both),
-                                           type=pa.uint64())})
-        both = pa.concat_arrays([
-            as_array(b.column("a")).cast(pa.string()),
-            as_array(b.column("b")).cast(pa.string()),
-        ])
-        h, _ = hash_strings(both)
-        return pa.table({"h": pa.array(np.unique(h), type=pa.uint64())})
+        both = np.concatenate([id_keys(b.column("a")), id_keys(b.column("b"))])
+        return pa.table({"h": pa.array(np.unique(both), type=pa.uint64())})
 
     def uniq_fold(b: pa.Table) -> pa.Table:
         if len(b) == 0:
@@ -468,37 +380,28 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
             pairs = pairs.repartition(P, keys=["a", "b"])
         phase1 = pairs.map_batches(
             functools.partial(_broadcast_verify_batch, cand_ref=cand_ref,
-                              cfg=config, dedup_pairs=dedup_pairs,
-                              bridge_ref=bridge_ref),
+                              cfg=config, dedup_pairs=dedup_pairs),
             batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-        ).materialize()
+        )
     else:
         # ---- shuffle path: two co-partition joins (endpoint a, b) ----
         # materialized between rounds (fused-chain pathology)
         withe_a = _attach_endpoint(pairs, cand_sigs, "a", "a", P,
-                                   dedup_pairs=dedup_pairs,
-                                   bridge_ref=bridge_ref).materialize()
-        withe_ab = _attach_endpoint(withe_a, cand_sigs, "b", "b", P,
-                                    bridge_ref=bridge_ref)
+                                   dedup_pairs=dedup_pairs).materialize()
+        withe_ab = _attach_endpoint(withe_a, cand_sigs, "b", "b", P)
         phase1 = withe_ab.map_batches(
             functools.partial(_verify_batch, cfg=config),
             batch_format="pyarrow", zero_copy_batch=True, batch_size=1024,
-        ).materialize()
-
-    def _finish(result):
-        """Decode u64 endpoints back to strings — the verified surface
-        and checkpoint schema are mode-independent."""
-        if bridge_ref is None:
-            return result
-        return result.map_batches(
-            functools.partial(_decode_pairs, bridge_ref=bridge_ref),
-            batch_format="pyarrow", zero_copy_batch=True)
+        )
+    # decoded once here: the verified surface is string-typed, and the
+    # containment phase below only ever sees conv_id strings
+    phase1 = map_decode(phase1, ["a", "b"], bridge_ref).materialize()
 
     # ---- phase 2: containment texts only for pairs that need them ----
     needs = phase1.filter(expr="method == 'needs_text'").materialize()
     done = phase1.filter(expr="method != 'needs_text'")
     if needs.count() == 0:
-        return _finish(done)
+        return done
 
     if texts_ds is None:
         # no text source: containment candidates are rejected
@@ -508,8 +411,8 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
                 b.column_names.index("method"), "method",
                 pa.array(["rejected"] * n, type=pa.string()))
 
-        return _finish(done.union(needs.map_batches(
-            reject, batch_format="pyarrow", zero_copy_batch=True)))
+        return done.union(needs.map_batches(
+            reject, batch_format="pyarrow", zero_copy_batch=True))
 
     def _ids_of(part) -> set:
         out: set = set()
@@ -520,8 +423,7 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
         return out
 
     def _resolve_part(part):
-        texts_ref = ray.put(_collect_texts(texts_ds, _ids_of(part),
-                                           bridge_ref=bridge_ref))
+        texts_ref = ray.put(_collect_texts(texts_ds, _ids_of(part)))
         return part.map_batches(
             functools.partial(_resolve_containment, texts_ref=texts_ref,
                               cfg=config),
@@ -535,8 +437,8 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
     n_needs = needs.count()
     n_chunks = max(1, -(-n_needs // containment_chunk_pairs))
     if n_chunks == 1:
-        return _finish(done.union(_resolve_part(needs)))
+        return done.union(_resolve_part(needs))
     out = done
     for part in needs.split(n_chunks):
         out = out.union(_resolve_part(part))
-    return _finish(out)
+    return out

@@ -92,6 +92,10 @@ def test_filter_above_group_quantile(ray_session, blocks):
         thr = sv[int(np.ceil(0.75 * m.sum())) - 1]
         want |= set(ids[m][v[m] >= thr].tolist())
     assert got_ids == want
+    # q=0: the threshold is each group's minimum, so every row stays
+    got0 = filter_above_group_quantile(_ds(tbl, blocks), "g", "v", 0.0,
+                                       carry_cols=["id"]).to_pandas()
+    assert sorted(got0["id"].astype(int)) == ids.tolist()
 
 
 @pytest.mark.parametrize("blocks", [1, 4])

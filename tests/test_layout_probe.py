@@ -199,3 +199,43 @@ def test_rewrite_layout_cli_unlocks_fast_path(ray_session, tmp_path,
         return list(zip(df["conv_id"], df["cluster_id"]))
 
     assert clusters(out, "auto") == clusters(src, "shuffled")
+
+
+def test_auto_layout_over_jsonl_is_shuffled(ray_session, tmp_path):
+    """Only Parquet can be probed: "auto" over JSONL input takes the
+    shuffled path without running the probe."""
+    import json
+
+    import ray.data
+
+    from apache_datasketches_go_ray.pipelines.dedup import (
+        resolve_input_layout,
+    )
+
+    path = tmp_path / "turns.jsonl"
+    with open(path, "w") as f:
+        for i in range(4):
+            f.write(json.dumps({"conv_id": f"c{i // 2}", "turn_idx": i % 2,
+                                "text": "hello there"}) + "\n")
+    ds = ray.data.read_json(str(path))
+    assert ds.input_files()
+    assert resolve_input_layout("auto", ds) == "shuffled"
+    assert resolve_input_layout("auto", None,
+                                input_paths=[str(path)]) == "shuffled"
+
+
+def test_auto_layout_probe_failure_raises(ray_session, tmp_path):
+    """A probe that fails on a Parquet input raises instead of silently
+    switching to the shuffled path."""
+    from apache_datasketches_go_ray.pipelines.dedup import (
+        resolve_input_layout,
+    )
+
+    sdir, _ = _write_sorted_shards(tmp_path, n_convs=30)
+    victim = os.path.join(sdir, sorted(os.listdir(sdir))[0])
+    with open(victim, "rb") as f:
+        data = f.read()
+    with open(victim, "wb") as f:
+        f.write(data[: len(data) // 2])  # truncated: no footer
+    with pytest.raises(Exception, match="(?i)parquet"):
+        resolve_input_layout("auto", None, input_paths=sdir)

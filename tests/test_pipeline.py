@@ -165,34 +165,50 @@ def test_checkpoint_resume(fixture_dir, oracle_result, tmp_path,
         assert ent["resumed"], f"stage {name} should have resumed at 8 CPUs"
 
 
-def test_cluster_chain_convergence(ray_session):
+@pytest.mark.parametrize("kind", ["string", "bridge", "int64"])
+def test_cluster_chain_convergence(ray_session, kind):
     """Long chains (the skew-cap path) must converge quickly via
-    large-star/small-star, not O(n) rounds."""
+    large-star/small-star, not O(n) rounds — on string ids, on
+    bridge-encoded u64 ranks and on int64 ids alike."""
+    import numpy as np
     import ray.data
     import pyarrow as pa
     from apache_datasketches_go_ray.stages.cluster import cluster_edges
+    from apache_datasketches_go_ray.stages.ids import build_bridge
 
     n = 150
-    ids = [f"n{i:05d}" for i in range(n)]
-    edges = pa.table({"a": ids[:-1], "b": ids[1:]})
+    # chain order is not id order, so the min label is not the chain head
+    perm = np.random.default_rng(3).permutation(n)
+    if kind == "int64":
+        ids = [int(i) * 7 - 300 for i in perm]
+        col = pa.array(ids, type=pa.int64())
+    else:
+        ids = [f"n{i:05d}" for i in perm]
+        col = pa.array(ids, type=pa.string())
+    edges = pa.table({"a": col.slice(0, n - 1), "b": col.slice(1)})
+    bridge = build_bridge(ray.data.from_arrow(pa.table({"conv_id": col}))) \
+        if kind == "bridge" else None
     # local_threshold=0 forces the distributed star rounds (the default
     # gate would finish this tiny chain on the driver)
     out = cluster_edges(ray.data.from_arrow(edges), 4, max_rounds=15,
-                        local_threshold=0)
+                        local_threshold=0, bridge_ref=bridge)
+    sch = out.schema()
+    assert dict(zip(sch.names, sch.types))["conv_id"] == col.type
     labels = {r["conv_id"]: r["cluster_id"] for r in out.take_all()}
     assert len(labels) == n
-    assert set(labels.values()) == {ids[0]}
+    assert set(labels.values()) == {min(ids)}
     # and the driver-side vectorized path must agree exactly
-    out2 = cluster_edges(ray.data.from_arrow(edges), 4)
+    out2 = cluster_edges(ray.data.from_arrow(edges), 4, bridge_ref=bridge)
     labels2 = {r["conv_id"]: r["cluster_id"] for r in out2.take_all()}
     assert labels2 == labels
 
 
-def test_skew_salted_repartitioning(ray_session):
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "string"])
+def test_skew_salted_repartitioning(ray_session, dense):
     """FIXTURES.md F4: hot band keys (a template repeated with 1-2 token
     edits) are detected by the deterministic sample, salted across
     shards, and the shard+representative chains reproduce the oracle's
-    clusters exactly."""
+    clusters exactly, with and without the dense-id bridge."""
     import ray.data
     import pyarrow.parquet as pq
     from apache_datasketches_go_ray.config import DedupConfig
@@ -209,7 +225,7 @@ def test_skew_salted_repartitioning(ray_session):
                                     shards=4, hot_copies=120)
     cfg = DedupConfig(num_partitions=4, hot_sample_rate=2,
                       hot_sampled_count=4, max_band_group=16,
-                      hot_key_salt=4)
+                      hot_key_salt=4, dense_ids=dense)
     ds = ray.data.read_parquet(info["dir"])
 
     # the hot template's band buckets must actually trip detection
@@ -218,6 +234,7 @@ def test_skew_salted_repartitioning(ray_session):
     assert len(hot) > 0
 
     res = run_dedup(ray.data.read_parquet(info["dir"]), cfg)
+    assert res["metrics"]["dense_ids"] is dense
     pipe = {r["conv_id"]: r["cluster_id"]
             for r in res["clusters"].take_all()}
     orc = oracle_dedup(pq.read_table(info["dir"]), cfg)
