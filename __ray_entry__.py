@@ -17,6 +17,10 @@ from collections.abc import Callable
 from typing import Any
 
 import numpy as np
+import pyarrow as pa
+from apache_datasketches_go_ray.stages.keyed import (
+    keyed_fold, next_in_segment, np_col, rank_in_segment, run_heads,
+    segment_ends, segment_ids, sort_segments)
 
 _TRANSCRIPT_CACHE: dict[str, str] = {}
 
@@ -61,6 +65,40 @@ def _read(sf_dir: str, table: str, columns: list | None = None):
                                  columns=columns)
 
 
+def _sql_rank(starts: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """SQL rank() per row of a keyed_fold block sorted by (key, sv): one
+    more than the in-segment position of the row's first tie."""
+    n = len(sv)
+    runs = np.flatnonzero(run_heads(starts, sv))
+    return runs[segment_ids(runs, n)] - starts[segment_ids(starts, n)] + 1
+
+
+def _conv_texts(b, starts: np.ndarray):
+    """Per conversation of a keyed_fold block sorted by (conv_id,
+    turn_idx): its turn texts joined with the assembly separator."""
+    import pyarrow.compute as pc
+    from apache_datasketches_go_ray.stages.assemble import TURN_SEP
+
+    offsets = np.append(starts, len(b)).astype(np.int32)
+    texts = b.column("text").cast(pa.string()).combine_chunks()
+    return pc.binary_join(
+        pa.ListArray.from_arrays(pa.array(offsets), texts), TURN_SEP)
+
+
+def _user_reply_rows(b, starts: np.ndarray) -> np.ndarray:
+    """Rows of a keyed_fold block sorted by (conv_id, turn_idx) holding a
+    user turn that the next turn of the same conversation answers as
+    the assistant."""
+    role = np_col(b, "role")
+    return np.flatnonzero((role[:-1] == "user")
+                          & next_in_segment(starts, len(role))
+                          & (role[1:] == "assistant"))
+
+
+# orders by price, highest first, ties broken by order key
+_BY_PRICE_DESC = ("-o_totalprice", "o_orderkey")
+
+
 # ---------------------------------------------------------------------------
 # flagship
 # ---------------------------------------------------------------------------
@@ -98,7 +136,6 @@ def _q_turn_collision_pairs(sf_dir: str):
     buckets the shuffle (two distinct texts colliding would need a
     64-bit murmur collision, absent at any test scale) — so the
     operator is SQL-oracled value-exact."""
-    import pyarrow as pa
     import ray.data
     from apache_datasketches_go_ray.stages.turnblock import turn_block_pairs
 
@@ -106,16 +143,11 @@ def _q_turn_collision_pairs(sf_dir: str):
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "text"])
 
-    def dedupe(b: pa.Table) -> pa.Table:
-        return b.group_by(["a", "b"]).aggregate([])
-
     # pair-keyed shuffle + in-block fold = global distinct (candidate
     # stream is emitted per colliding turn, so pairs repeat)
-    return (turn_block_pairs(ds, cfg)
-            .repartition(cfg.num_partitions, keys=["a", "b"])
-            .map_batches(dedupe, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .sort(["a", "b"]))
+    return keyed_fold(turn_block_pairs(ds, cfg), ["a", "b"],
+                      lambda b, _: b.group_by(["a", "b"]).aggregate([]),
+                      cfg.num_partitions, None).sort(["a", "b"])
 
 
 def _q_incremental_dedup(sf_dir: str):
@@ -175,49 +207,26 @@ def _q_assistant_run_lengths(sf_dir: str):
     user/tool interleave is the classic stuck-agent signature). One
     conv-key shuffle + in-block lexsort + vectorized run-length
     encoding over (conv, role) change flags."""
-    import pyarrow as pa
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "role"])
-    _empty = pa.table({
-        "conv_id": pa.array([], type=pa.string()),
-        "max_assistant_run": pa.array([], type=pa.int64()),
-    })
 
-    def fold(b):
-        if len(b) == 0:
-            return _empty
-        conv = as_array(b.column("conv_id")).to_numpy(
-            zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        role = as_array(b.column("role")).to_numpy(zero_copy_only=False)
-        _, ccodes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, ccodes))
-        c, r = ccodes[order], role[order]
-        new_run = np.empty(len(c), dtype=bool)
-        new_run[0] = True
-        np.not_equal(c[1:], c[:-1], out=new_run[1:])
-        new_run[1:] |= r[1:] != r[:-1]
-        starts = np.flatnonzero(new_run)
-        lens = np.diff(np.append(starts, len(c)))
-        is_asst = r[starts] == "assistant"
-        run_conv = c[starts][is_asst]
-        run_len = lens[is_asst]
-        mx = np.zeros(int(c.max()) + 1 if len(c) else 0, dtype=np.int64)
-        np.maximum.at(mx, run_conv, run_len)
+    def fold(b, starts):
+        r = np_col(b, "role")
+        run_starts = np.flatnonzero(run_heads(starts, r))
+        lens = np.diff(np.append(run_starts, len(r)))
+        is_asst = r[run_starts] == "assistant"
+        run_conv = segment_ids(starts, len(r))[run_starts][is_asst]
+        mx = np.zeros(len(starts), dtype=np.int64)
+        np.maximum.at(mx, run_conv, lens[is_asst])
         keep = np.unique(run_conv)
-        # conv codes were assigned by np.unique order == sorted order
-        uniq = pa.array(np.unique(conv), type=pa.string())
         return pa.table({
-            "conv_id": uniq.take(pa.array(keep, type=pa.int64())),
+            "conv_id": b.column("conv_id").take(starts[keep]),
             "max_assistant_run": pa.array(mx[keep]),
         })
 
-    return (ds.repartition(8, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds, ["conv_id"], fold, 8, ("turn_idx",))
 
 
 def _q_tool_latency_quartiles(sf_dir: str):
@@ -226,9 +235,7 @@ def _q_tool_latency_quartiles(sf_dir: str):
     epoch-us integers), folded through the exact grouped
     percentile_disc operator. Conv-key shuffle + in-block lead kernel,
     then the one-lexsort-per-group quantile fold."""
-    import pyarrow as pa
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
     from apache_datasketches_go_ray.stages.relational import (
         grouped_quantile_disc,
     )
@@ -236,38 +243,18 @@ def _q_tool_latency_quartiles(sf_dir: str):
     ds = ray.data.read_parquet(
         _transcripts_dir(sf_dir),
         columns=["conv_id", "turn_idx", "tool", "ts"])
-    _empty = pa.table({"tool": pa.array([], type=pa.string()),
-                       "gap_us": pa.array([], type=pa.int64())})
 
-    def gaps(b):
-        if len(b) == 0:
-            return _empty
-        conv = as_array(b.column("conv_id")).to_numpy(
-            zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        ts = b.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        tool = as_array(b.column("tool")).to_numpy(zero_copy_only=False)
-        _, ccodes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, ccodes))
-        c, t, tl = ccodes[order], ts[order], tool[order]
-        has_next = np.empty(len(c), dtype=bool)
-        has_next[-1] = False
-        np.equal(c[1:], c[:-1], out=has_next[:-1])
-        gap = np.empty(len(c), dtype=np.int64)
-        gap[:-1] = t[1:] - t[:-1]
-        gap[-1] = 0
-        keep = has_next & (tl != "") & (tl != None)  # noqa: E711
-        if not keep.any():
-            return _empty
+    def gaps(b, starts):
+        t = np_col(b, "ts").astype(np.int64)
+        tl = np_col(b, "tool")[:-1]
+        keep = next_in_segment(starts, len(t)) & (tl != "") \
+            & (tl != None)  # noqa: E711
         return pa.table({
             "tool": pa.array(tl[keep].astype(str), type=pa.string()),
-            "gap_us": pa.array(gap[keep]),
+            "gap_us": pa.array((t[1:] - t[:-1])[keep]),
         })
 
-    pairs = ds.repartition(8, keys=["conv_id"]).map_batches(
-        gaps, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True)
+    pairs = keyed_fold(ds, ["conv_id"], gaps, 8, ("turn_idx",))
     return grouped_quantile_disc(pairs, "tool", "gap_us",
                                  (0.25, 0.50, 0.75), num_partitions=4)
 
@@ -421,7 +408,6 @@ def _q_session_path_dups(sf_dir: str):
     bot/replay detection over event streams. One user-keyed shuffle
     (sessions are sub-runs of one user, so paths build in-block via the
     ListArray/binary_join pattern), then a path-keyed count fold."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     from apache_datasketches_go_ray.stages.arrow_util import as_array
 
@@ -429,26 +415,14 @@ def _q_session_path_dups(sf_dir: str):
     ds = _read(sf_dir, "events",
                ["user_id", "ts", "event_id", "event_type"])
 
-    _pempty = pa.table({"path": pa.array([], type=pa.large_string()),
-                        "n": pa.array([], type=pa.int64())})
-
-    def paths(b):
-        if len(b) == 0:
-            return _pempty
-        u = b.column("user_id").to_numpy(zero_copy_only=False)
-        ts = b.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        eid = b.column("event_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, u))
-        us, tss = u[order], ts[order]
-        types = as_array(b.column("event_type")).cast(
-            pa.large_string()).take(pa.array(order, type=pa.int64()))
-        new_s = np.empty(len(us), dtype=bool)
-        new_s[0] = True
-        np.not_equal(us[1:], us[:-1], out=new_s[1:])
+    def paths(b, starts):
+        tss = np_col(b, "ts").astype(np.int64)
+        new_s = np.zeros(len(tss), dtype=bool)
+        new_s[starts] = True
         new_s[1:] |= (tss[1:] - tss[:-1]) > GAP_US
-        starts = np.flatnonzero(new_s)
-        offsets = np.append(starts, len(us)).astype(np.int64)
+        offsets = np.append(np.flatnonzero(new_s), len(tss)) \
+            .astype(np.int64)
+        types = as_array(b.column("event_type")).cast(pa.large_string())
         joined = pc.binary_join(
             pa.LargeListArray.from_arrays(pa.array(offsets), types),
             pa.scalar(">", type=pa.large_string()))
@@ -457,22 +431,14 @@ def _q_session_path_dups(sf_dir: str):
         return pa.table({"path": g.column("path"),
                          "n": g.column("count_all").cast(pa.int64())})
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "path": pa.array([], type=pa.large_string()),
-                "n_sessions": pa.array([], type=pa.int64())})
+    def fold(b, _):
         g = b.group_by("path").aggregate([("n", "sum")])
         t = pa.table({"path": g.column("path"),
                       "n_sessions": g.column("n_sum").cast(pa.int64())})
         return t.filter(pc.greater_equal(t.column("n_sessions"), 2))
 
-    return (ds.repartition(16, keys=["user_id"])
-            .map_batches(paths, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(8, keys=["path"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    sessions = keyed_fold(ds, ["user_id"], paths, 16, ("ts", "event_id"))
+    return keyed_fold(sessions, ["path"], fold, 8, None)
 
 
 def _q_cms_token_counts(sf_dir: str):
@@ -510,7 +476,6 @@ def _q_cms_token_counts(sf_dir: str):
 
 
 def _q_lang_stats(sf_dir: str):
-    import pyarrow as pa
 
     def partial(b):
         return pa.table({
@@ -518,7 +483,7 @@ def _q_lang_stats(sf_dir: str):
             "n_chars": b.column("n_chars").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         t = b.group_by("lang").aggregate(
             [("n_chars", "count"), ("n_chars", "sum"),
              ("n_chars", "min"), ("n_chars", "max")])
@@ -530,13 +495,10 @@ def _q_lang_stats(sf_dir: str):
             "max_chars": t.column("n_chars_max").cast(pa.int64()),
         })
 
-    return (
-        _read(sf_dir, "documents", ["lang", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8, keys=["lang"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(
+        _read(sf_dir, "documents", ["lang", "n_chars"]).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["lang"], fold, 8, None)
 
 
 def _q_consecutive_jaccard(sf_dir: str):
@@ -639,7 +601,6 @@ def _q_jaccard_join_bigram(sf_dir: str):
 
 
 def _q_events_hourly(sf_dir: str):
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     def partial(b):
@@ -648,7 +609,7 @@ def _q_events_hourly(sf_dir: str):
         return pa.table({"user_id": b.column("user_id").cast(pa.int64()),
                          "hour": hour, "cents": cents})
 
-    def fold(b):
+    def fold(b, _):
         t = b.group_by(["user_id", "hour"]).aggregate(
             [("cents", "count"), ("cents", "sum")])
         return pa.table({
@@ -658,13 +619,10 @@ def _q_events_hourly(sf_dir: str):
             "sum_cents": t.column("cents_sum").cast(pa.int64()),
         })
 
-    return (
-        _read(sf_dir, "events", ["user_id", "ts", "value"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(16, keys=["user_id"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(
+        _read(sf_dir, "events", ["user_id", "ts", "value"]).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id"], fold, 16, None)
 
 
 def _q_ann_topk(sf_dir: str):
@@ -1066,7 +1024,6 @@ def _q_theta_user_overlap(sf_dir: str):
     exact regime and the DuckDB oracle checks the overlap counts
     value-exact; at corpus scale the same operator degrades to the
     bounded-error sketch (state/theta.py)."""
-    import pyarrow as pa
     from apache_datasketches_go_ray.state.theta import (
         ThetaSketch, hash_int64_values,
     )
@@ -1094,30 +1051,21 @@ def _q_theta_user_overlap(sf_dir: str):
         return pa.table({"event_type": pa.array(out_k, type=pa.string()),
                          "sk": pa.array(out_s, type=pa.large_binary())})
 
-    def combine(b):
-        ks = np.asarray(b.column("event_type").to_pylist(), dtype=object)
+    def combine(b, starts):
         sks = b.column("sk").to_pylist()
-        order = np.argsort(ks, kind="stable")
-        out_k, out_s = [], []
-        i = 0
-        while i < len(order):
-            j = i
-            sk = ThetaSketch.from_bytes(sks[order[i]])
-            while j + 1 < len(order) and ks[order[j + 1]] == ks[order[i]]:
-                j += 1
-                sk.merge(ThetaSketch.from_bytes(sks[order[j]]))
-            out_k.append(ks[order[i]])
+        out_s = []
+        for s, e in zip(starts, segment_ends(starts, len(sks))):
+            sk = ThetaSketch.from_bytes(sks[s])
+            for j in range(s + 1, e):
+                sk.merge(ThetaSketch.from_bytes(sks[j]))
             out_s.append(sk.to_bytes())
-            i = j + 1
-        return pa.table({"event_type": pa.array(out_k, type=pa.string()),
+        return pa.table({"event_type": b.column("event_type").take(starts),
                          "sk": pa.array(out_s, type=pa.large_binary())})
 
-    rows = (_read(sf_dir, "events", ["event_type", "user_id"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["event_type"])
-            .map_batches(combine, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    rows = (keyed_fold(_read(sf_dir, "events", ["event_type", "user_id"])
+                       .map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["event_type"], combine, 4, ())
             .take_all())
     sketches = {r["event_type"]: ThetaSketch.from_bytes(r["sk"])
                 for r in rows}
@@ -1168,7 +1116,7 @@ def _q_customer_nation_revenue(sf_dir: str):
             "cents": b.column("cents"),
         })
 
-    def fold(b):
+    def fold(b, _):
         t = b.group_by("c_nationkey").aggregate(
             [("cents", "count"), ("cents", "sum")])
         return pa.table({
@@ -1177,11 +1125,9 @@ def _q_customer_nation_revenue(sf_dir: str):
             "sum_cents": t.column("cents_sum").cast(pa.int64()),
         })
 
-    return (joined.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .repartition(8, keys=["c_nationkey"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(joined.map_batches(partial, batch_format="pyarrow",
+                                         zero_copy_batch=True),
+                      ["c_nationkey"], fold, 8, None)
 
 
 def _q_lineitem_pricing(sf_dir: str):
@@ -1210,7 +1156,7 @@ def _q_lineitem_pricing(sf_dir: str):
             "n_rows": g.column("qty_c_count").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by(["l_returnflag", "l_linestatus"]).aggregate(
             [("sum_qty_c", "sum"), ("sum_price_c", "sum"),
              ("n_rows", "sum")])
@@ -1222,13 +1168,10 @@ def _q_lineitem_pricing(sf_dir: str):
             "n_rows": g.column("n_rows_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity",
-                             "l_extendedprice"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["l_returnflag", "l_linestatus"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    items = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus",
+                                       "l_quantity", "l_extendedprice"]) \
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_fold(items, ["l_returnflag", "l_linestatus"], fold, 4, None)
 
 
 def _q_kll_partition_bounds(sf_dir: str):
@@ -1409,16 +1352,15 @@ def _q_order_priority(sf_dir: str):
             "max_ship": g.column("l_shipdate_max"),
         })
 
-    def combine(b):
+    def combine(b, _):
         g = b.group_by("l_orderkey").aggregate([("max_ship", "max")])
         return pa.table({"l_orderkey": g.column("l_orderkey"),
                          "max_ship": g.column("max_ship_max")})
 
-    li = (_read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-          .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-          .repartition(16, keys=["l_orderkey"])
-          .map_batches(combine, batch_format="pyarrow", batch_size=None,
-                       zero_copy_batch=True))
+    li = keyed_fold(_read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
+                    .map_batches(pre, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+                    ["l_orderkey"], combine, 16, None)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
     joined = hash_join(orders, li, on=("o_orderkey", "l_orderkey"))
@@ -1433,18 +1375,16 @@ def _q_order_priority(sf_dir: str):
             "n_orders": g.column("o_orderkey_count").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("o_orderpriority").aggregate([("n_orders", "sum")])
         return pa.table({
             "o_orderpriority": g.column("o_orderpriority"),
             "n_orders": g.column("n_orders_sum").cast(pa.int64()),
         })
 
-    return (joined.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .repartition(4, keys=["o_orderpriority"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(joined.map_batches(partial, batch_format="pyarrow",
+                                         zero_copy_batch=True),
+                      ["o_orderpriority"], fold, 4, None)
 
 
 def _q_customers_no_orders(sf_dir: str):
@@ -1506,7 +1446,7 @@ def _q_region_revenue(sf_dir: str):
             "sum_cents": g.column("cents_sum").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("region").aggregate(
             [("n_orders", "sum"), ("sum_cents", "sum")])
         return pa.table({
@@ -1515,11 +1455,9 @@ def _q_region_revenue(sf_dir: str):
             "sum_cents": g.column("sum_cents_sum").cast(pa.int64()),
         })
 
-    return (joined.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .repartition(4, keys=["region"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(joined.map_batches(partial, batch_format="pyarrow",
+                                         zero_copy_batch=True),
+                      ["region"], fold, 4, None)
 
 
 def _q_distinct_users_daily(sf_dir: str):
@@ -1586,10 +1524,8 @@ def _q_transcript_turn_gaps(sf_dir: str):
     number of >5-min gaps, mean inter-turn seconds — the conversation
     analogue of event sessionization (rows-only: transcripts are
     synthesized, not a driver table)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "ts"])
@@ -1601,29 +1537,13 @@ def _q_transcript_turn_gaps(sf_dir: str):
             "ts": b.column("ts").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "conv_id": pa.array([], type=pa.string()),
-                "n_turns": pa.array([], type=pa.int64()),
-                "n_long_gaps": pa.array([], type=pa.int64()),
-                "mean_gap_s": pa.array([], type=pa.float64()),
-            })
-        conv = as_array(b.column("conv_id")).to_numpy(zero_copy_only=False)
-        tidx = as_array(b.column("turn_idx")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).to_numpy(zero_copy_only=False)
-        # stable per-conv ordering by turn_idx (string keys: argsort of
-        # codes via np.unique inverse)
-        _, codes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, codes))
-        c, t = codes[order], ts[order]
-        first = np.empty(len(c), dtype=bool)
-        first[0] = True
-        np.not_equal(c[1:], c[:-1], out=first[1:])
+    def fold(b, starts):
+        t = np_col(b, "ts")
+        first = np.zeros(len(t), dtype=bool)
+        first[starts] = True
         gaps_us = np.diff(t)  # integer microseconds: sums stay exact
         inner = ~first[1:]  # gaps within a conv
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(c))
+        ends = segment_ends(starts, len(t))
         n_turns = ends - starts
         gsum = np.concatenate(
             [[0], np.cumsum(np.where(inner, gaps_us, 0))])
@@ -1637,7 +1557,7 @@ def _q_transcript_turn_gaps(sf_dir: str):
             (gsum[span] - gsum[starts]).astype(np.float64)
             / np.maximum(n_turns - 1, 1) / 1e6, 0.0)
         return pa.table({
-            "conv_id": pa.array(conv[order][starts]),
+            "conv_id": b.column("conv_id").take(starts),
             "n_turns": pa.array(n_turns, type=pa.int64()),
             "n_long_gaps": pa.array(gbig[span] - gbig[starts],
                                     type=pa.int64()),
@@ -1646,12 +1566,10 @@ def _q_transcript_turn_gaps(sf_dir: str):
                 type=pa.float64()),
         })
 
-    return (ds.select_columns(["conv_id", "turn_idx", "ts"])
-            .map_batches(project, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(16, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        ds.select_columns(["conv_id", "turn_idx", "ts"]).map_batches(
+            project, batch_format="pyarrow", zero_copy_batch=True),
+        ["conv_id"], fold, 16, ("turn_idx",))
 
 
 def _q_transcript_role_stats(sf_dir: str):
@@ -1683,9 +1601,7 @@ def _q_transcript_role_stats(sf_dir: str):
             ["conv_id", "n_user", "n_assistant", "n_tool",
              "n_tool_calls", "n_chars"])
 
-    def fold(b):
-        if len(b) == 0:
-            return b
+    def fold(b, _):
         g = b.group_by("conv_id").aggregate(
             [(c, "sum") for c in ("n_user", "n_assistant", "n_tool",
                                   "n_tool_calls", "n_chars")])
@@ -1695,12 +1611,10 @@ def _q_transcript_role_stats(sf_dir: str):
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "role", "tool", "text"])
-    return (ds.select_columns(["conv_id", "role", "tool", "text"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(8, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.select_columns(["conv_id", "role", "tool", "text"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["conv_id"], fold, 8, None)
 
 
 def _q_boilerplate_turns(sf_dir: str):
@@ -1731,10 +1645,7 @@ def _q_boilerplate_turns(sf_dir: str):
         g = t.group_by(["h", "conv_id"]).aggregate([])
         return g
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({"h": pa.array([], type=pa.int64()),
-                             "n_convs": pa.array([], type=pa.int64())})
+    def fold(b, _):
         g = b.group_by(["h", "conv_id"]).aggregate([]) \
             .group_by("h").aggregate([("conv_id", "count")])
         return pa.table({"h": g.column("h"),
@@ -1743,11 +1654,10 @@ def _q_boilerplate_turns(sf_dir: str):
 
     from apache_datasketches_go_ray.stages.relational import top_k
     counts = (
-        ds.select_columns(["conv_id", "text"])
-        .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8, keys=["h"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
+        keyed_fold(ds.select_columns(["conv_id", "text"])
+                   .map_batches(pre, batch_format="pyarrow",
+                                zero_copy_batch=True),
+                   ["h"], fold, 8, None)
         .filter(expr="n_convs >= 2")
         .materialize())
     # count threshold from a hash-ranked top-20 (texts never ship);
@@ -1947,33 +1857,9 @@ def _q_largest_event_per_user(sf_dir: str):
     deterministic event_id tie-break) — per-block partial argmax
     combiner, then one keyed shuffle and a final argmax fold. Only one
     row per (block, user) ever moves through the shuffle."""
-    import pyarrow as pa
     import pyarrow.compute as pc
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
-    def argmax_block(b):
-        if len(b) == 0:
-            return pa.table({
-                "user_id": pa.array([], type=pa.int64()),
-                "event_id": pa.array([], type=pa.int64()),
-                "cents": pa.array([], type=pa.int64()),
-            })
-        u = as_array(b.column("user_id")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        e = as_array(b.column("event_id")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        c = as_array(b.column("cents")).to_numpy(zero_copy_only=False)
-        # sort by (user, cents desc, event_id asc); take first per user
-        order = np.lexsort((e, -c, u))
-        uu = u[order]
-        first = np.ones(len(uu), dtype=bool)
-        first[1:] = uu[1:] != uu[:-1]
-        keep = order[first]
-        return pa.table({
-            "user_id": pa.array(u[keep], type=pa.int64()),
-            "event_id": pa.array(e[keep], type=pa.int64()),
-            "cents": pa.array(c[keep], type=pa.int64()),
-        })
+    order = ("-cents", "event_id")  # a user's first row is its argmax
 
     def prep(b):
         return pa.table({
@@ -1983,21 +1869,22 @@ def _q_largest_event_per_user(sf_dir: str):
                 .cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "event_id", "value"])
-            .map_batches(prep, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(argmax_block, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(8, keys=["user_id"])
-            .map_batches(argmax_block, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    def argmax(b, starts):
+        return b.take(starts)
+
+    partial = (_read(sf_dir, "events", ["user_id", "event_id", "value"])
+               .map_batches(prep, batch_format="pyarrow",
+                            zero_copy_batch=True)
+               .map_batches(lambda b: argmax(*sort_segments(
+                   b, ["user_id"], order)), batch_format="pyarrow",
+                   zero_copy_batch=True))
+    return keyed_fold(partial, ["user_id"], argmax, 8, order)
 
 
 def _q_event_type_pivot(sf_dir: str):
     """Pivot: per-user event counts spread into one column per event
     type (conditional partial counts + keyed fold — the columnar
     reshape every feature pipeline needs)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     types = ["click", "error", "purchase", "signup", "view"]
@@ -2014,7 +1901,7 @@ def _q_event_type_pivot(sf_dir: str):
              **{f"n_{t}": g.column(f"n_{t}_sum").cast(pa.int64())
                 for t in types}})
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("user_id").aggregate(
             [(f"n_{t}", "sum") for t in types])
         return pa.table(
@@ -2022,12 +1909,10 @@ def _q_event_type_pivot(sf_dir: str):
              **{f"n_{t}": g.column(f"n_{t}_sum").cast(pa.int64())
                 for t in types}})
 
-    return (_read(sf_dir, "events", ["user_id", "event_type"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(8, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id"], fold, 8, None)
 
 
 def _q_kll_rank_annotate(sf_dir: str):
@@ -2108,7 +1993,7 @@ def _q_partitioned_sink_roundtrip(sf_dir: str):
             "sum_chars": g.column("n_chars_sum").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("lang").aggregate(
             [("n_docs", "sum"), ("sum_chars", "sum")])
         return pa.table({
@@ -2117,11 +2002,9 @@ def _q_partitioned_sink_roundtrip(sf_dir: str):
             "sum_chars": g.column("sum_chars_sum").cast(pa.int64()),
         })
 
-    return (back.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .repartition(2, keys=["lang"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(back.map_batches(partial, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                      ["lang"], fold, 2, None)
 
 
 def _q_varopt_sample_by_source(sf_dir: str):
@@ -2359,7 +2242,7 @@ def _q_brand_revenue(sf_dir: str):
             "revenue_c": g.column("rev_c_sum").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("p_brand").aggregate(
             [("n_items", "sum"), ("revenue_c", "sum")])
         return pa.table({
@@ -2368,11 +2251,9 @@ def _q_brand_revenue(sf_dir: str):
             "revenue_c": g.column("revenue_c_sum").cast(pa.int64()),
         })
 
-    return (joined.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .repartition(4, keys=["p_brand"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(joined.map_batches(partial, batch_format="pyarrow",
+                                         zero_copy_batch=True),
+                      ["p_brand"], fold, 4, None)
 
 
 def _q_supplier_balance(sf_dir: str):
@@ -2412,7 +2293,7 @@ def _q_supplier_balance(sf_dir: str):
             "sum_bal_c": g.column("bal_c_sum").cast(pa.int64()),
         })
 
-    def fold2(b):
+    def fold2(b, _):
         g = b.group_by("n_name").aggregate(
             [("n_suppliers", "sum"), ("sum_bal_c", "sum")])
         return pa.table({
@@ -2421,11 +2302,9 @@ def _q_supplier_balance(sf_dir: str):
             "sum_bal_c": g.column("sum_bal_c_sum").cast(pa.int64()),
         })
 
-    return (joined.map_batches(fold, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .repartition(2, keys=["n_name"])
-            .map_batches(fold2, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(joined.map_batches(fold, batch_format="pyarrow",
+                                         zero_copy_batch=True),
+                      ["n_name"], fold2, 2, None)
 
 
 def _q_shipping_priority(sf_dir: str):
@@ -2455,19 +2334,16 @@ def _q_shipping_priority(sf_dir: str):
         return pa.table({"l_orderkey": g.column("l_orderkey"),
                          "rev_c": g.column("rev_c_sum")})
 
-    def fold_li(b):
+    def fold_li(b, _):
         g = b.group_by("l_orderkey").aggregate([("rev_c", "sum")])
         return pa.table({"l_orderkey": g.column("l_orderkey"),
                          "revenue_c": g.column("rev_c_sum")
                          .cast(pa.int64())})
 
-    rev = (_read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate", "l_extendedprice",
-                            "l_discount"])
-           .map_batches(prep_li, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .repartition(16, keys=["l_orderkey"])
-           .map_batches(fold_li, batch_format="pyarrow", batch_size=None,
-                        zero_copy_batch=True))
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate",
+                                    "l_extendedprice", "l_discount"]) \
+        .map_batches(prep_li, batch_format="pyarrow", zero_copy_batch=True)
+    rev = keyed_fold(li, ["l_orderkey"], fold_li, 16, None)
 
     def prep_orders(b):
         t = b.filter(pc.less(b.column("o_orderdate"), cut))
@@ -2555,7 +2431,7 @@ def _q_props_extract(sf_dir: str):
             "max_k": g.column("k_max").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("event_type").aggregate(
             [("n_events", "sum"), ("sum_k", "sum"), ("min_k", "min"),
              ("max_k", "max")])
@@ -2567,12 +2443,10 @@ def _q_props_extract(sf_dir: str):
             "max_k": g.column("max_k_max").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "events", ["event_type", "props"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["event_type"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "events", ["event_type", "props"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["event_type"], fold, 4, None)
 
 
 def _q_multimodal_features(sf_dir: str):
@@ -3025,7 +2899,7 @@ def _q_nchars_histogram(sf_dir: str):
             "max_chars": g.column("n_chars_max"),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("bucket").aggregate(
             [("n", "sum"), ("min_chars", "min"), ("max_chars", "max")])
         return pa.table({
@@ -3035,12 +2909,10 @@ def _q_nchars_histogram(sf_dir: str):
             "max_chars": g.column("max_chars_max"),
         })
 
-    return (_read(sf_dir, "documents", ["n_chars"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["bucket"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "documents", ["n_chars"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["bucket"], fold, 4, None)
 
 
 def _q_orders_bloom_semi(sf_dir: str):
@@ -3091,8 +2963,6 @@ def _q_stratified_sample_docs(sf_dir: str):
     SQL-expressible). Per-block ≤3-per-lang partial (combiner) before
     the keyed shuffle; langs are dictionary-coded block-locally for the
     segment kernel."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
 
     def project(b):
         ids = b.column("doc_id").cast(pa.int64()) \
@@ -3104,32 +2974,18 @@ def _q_stratified_sample_docs(sf_dir: str):
                           type=pa.int64()),
         })
 
-    def keep3(b):
-        if len(b) == 0:
-            return b
-        codes = pc.dictionary_encode(
-            b.column("lang").combine_chunks()).indices \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        h = b.column("h").to_numpy(zero_copy_only=False)
-        ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, h, codes))
-        sk = codes[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        idx = np.arange(len(sk), dtype=np.int64)
-        seg_start = idx[np.flatnonzero(first)][np.cumsum(first) - 1]
-        keep = (idx - seg_start) < 3
-        return b.take(pa.array(order[keep], type=pa.int64()))
+    order = ("h", "doc_id")
 
-    return (_read(sf_dir, "documents", ["lang", "doc_id"])
-            .map_batches(project, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(keep3, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["lang"])
-            .map_batches(keep3, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    def keep3(b, starts):
+        return b.filter(pa.array(rank_in_segment(starts, len(b)) < 3))
+
+    docs = _read(sf_dir, "documents", ["lang", "doc_id"]).map_batches(
+        project, batch_format="pyarrow", zero_copy_batch=True)
+    # per-block combiner, then the per-lang fold
+    partial = docs.map_batches(
+        lambda b: keep3(*sort_segments(b, ["lang"], order)),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_fold(partial, ["lang"], keep3, 4, order)
 
 
 def _q_user_customer_full_outer(sf_dir: str):
@@ -3149,19 +3005,17 @@ def _q_user_customer_full_outer(sf_dir: str):
             "n_events": g.column("count_all").cast(pa.int64()),
         })
 
-    def count_fold(b):
+    def count_fold(b, _):
         g = b.group_by("user_id").aggregate([("n_events", "sum")])
         return pa.table({
             "user_id": g.column("user_id"),
             "n_events": g.column("n_events_sum").cast(pa.int64()),
         })
 
-    counts = (_read(sf_dir, "events", ["user_id"])
-              .map_batches(count_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .repartition(4, keys=["user_id"])
-              .map_batches(count_fold, batch_format="pyarrow",
-                           batch_size=None, zero_copy_batch=True))
+    counts = keyed_fold(_read(sf_dir, "events", ["user_id"])
+                        .map_batches(count_partial, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                        ["user_id"], count_fold, 4, None)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
     joined = hash_join(counts, cust, ("user_id", "c_custkey"),
                        join_type="full outer", broadcast_threshold=0,
@@ -3205,7 +3059,7 @@ def _q_events_weekly(sf_dir: str):
             "sum_cents": g.column("cents_sum").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("week").aggregate(
             [("n", "sum"), ("sum_cents", "sum")])
         return pa.table({
@@ -3214,12 +3068,10 @@ def _q_events_weekly(sf_dir: str):
             "sum_cents": g.column("sum_cents_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "events", ["ts", "value"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(2, keys=["week"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "events", ["ts", "value"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["week"], fold, 2, None)
 
 
 def _q_consecutive_edit_distance(sf_dir: str):
@@ -3254,86 +3106,53 @@ def _q_source_langs(sf_dir: str):
     """Sorted-distinct string_agg per group: the language list of each
     source — per-block (source, lang) pre-distinct combiner, keyed
     shuffle, then sort + native binary_join per segment."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     def pre(b):
         return b.select(["source", "lang"]) \
             .group_by(["source", "lang"]).aggregate([])
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "source": pa.array([], type=pa.string()),
-                "n_langs": pa.array([], type=pa.int64()),
-                "langs": pa.array([], type=pa.string()),
-            })
-        d = b.group_by(["source", "lang"]).aggregate([])
-        idx = pc.sort_indices(d, sort_keys=[("source", "ascending"),
-                                            ("lang", "ascending")])
-        d = d.take(idx)
-        src = d.column("source").to_numpy(zero_copy_only=False)
-        first = np.empty(len(src), dtype=bool)
-        first[0] = True
-        np.not_equal(src[1:], src[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        offsets = np.append(starts, len(src)).astype(np.int32)
+    def fold(b, starts):
+        lang = np_col(b, "lang")
+        first = np.zeros(len(lang), dtype=bool)
+        first[starts] = True
+        keep = first.copy()  # distinct (source, lang)
+        keep[1:] |= lang[1:] != lang[:-1]
+        d = b.filter(pa.array(keep))
+        starts = np.flatnonzero(first[keep])
+        offsets = np.append(starts, len(d)).astype(np.int32)
         lists = pa.ListArray.from_arrays(
             pa.array(offsets), d.column("lang").combine_chunks())
         return pa.table({
-            "source": pa.array(src[starts]),
+            "source": d.column("source").take(starts),
             "n_langs": pa.array(np.diff(offsets), type=pa.int64()),
             "langs": pc.binary_join(lists, ","),
         })
 
-    return (_read(sf_dir, "documents", ["source", "lang"])
-            .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(4, keys=["source"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        _read(sf_dir, "documents", ["source", "lang"]).map_batches(
+            pre, batch_format="pyarrow", zero_copy_batch=True),
+        ["source"], fold, 4, ("lang",))
 
 
 def _q_user_first_last_event(sf_dir: str):
     """first_value/last_value window endpoints: each user's first and
     last event type by (ts, event_id) — one keyed shuffle, segment
     endpoints off the sorted block."""
-    import pyarrow as pa
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "user_id": pa.array([], type=pa.int64()),
-                "first_type": pa.array([], type=pa.string()),
-                "last_type": pa.array([], type=pa.string()),
-                "n_events": pa.array([], type=pa.int64()),
-            })
-        u = as_array(b.column("user_id")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("event_id")).to_numpy(zero_copy_only=False)
-        et = as_array(b.column("event_type"))
-        order = np.lexsort((ids, ts, u))
-        su = u[order]
-        first = np.empty(len(su), dtype=bool)
-        first[0] = True
-        np.not_equal(su[1:], su[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(su)) - 1
-        take = pa.array(order, type=pa.int64())
-        ets = et.take(take)
+    def fold(b, starts):
+        ends = segment_ends(starts, len(b)) - 1
+        et = b.column("event_type")
         return pa.table({
-            "user_id": pa.array(su[starts], type=pa.int64()),
-            "first_type": ets.take(pa.array(starts, type=pa.int64())),
-            "last_type": ets.take(pa.array(ends, type=pa.int64())),
+            "user_id": b.column("user_id").take(starts),
+            "first_type": et.take(starts),
+            "last_type": et.take(ends),
             "n_events": pa.array(ends - starts + 1, type=pa.int64()),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-            .repartition(8, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]),
+        ["user_id"], fold, 8, ("ts", "event_id"))
 
 
 def _q_revenue_by_price_quartile(sf_dir: str):
@@ -3363,7 +3182,7 @@ def _q_revenue_by_price_quartile(sf_dir: str):
             "sum_cents": g.column("cents_sum").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("bucket").aggregate(
             [("n_orders", "sum"), ("sum_cents", "sum")])
         return pa.table({
@@ -3372,11 +3191,9 @@ def _q_revenue_by_price_quartile(sf_dir: str):
             "sum_cents": g.column("sum_cents_sum").cast(pa.int64()),
         })
 
-    return (q.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-            .repartition(2, keys=["bucket"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(q.map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                      ["bucket"], fold, 2, None)
 
 
 def _q_order_rank_gaps(sf_dir: str):
@@ -3384,123 +3201,54 @@ def _q_order_rank_gaps(sf_dir: str):
     customer by price desc — completes the ranking-window family
     (row_number ✓ running, dense_rank ✓, cume_dist ✓). Kernel: position
     of the first peer in the segment via tie-run starts."""
-    import pyarrow as pa
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "o_orderkey": pa.array([], type=pa.int64()),
-                "o_custkey": pa.array([], type=pa.int64()),
-                "o_totalprice": pa.array([], type=pa.float64()),
-                "rnk": pa.array([], type=pa.int64()),
-            })
-        k = as_array(b.column("o_custkey")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        v = as_array(b.column("o_totalprice")) \
-            .to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("o_orderkey")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -v, k))
-        sk, sv = k[order], v[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        chg = first.copy()
-        chg[1:] |= sv[1:] != sv[:-1]
-        idx = np.arange(len(sk), dtype=np.int64)
-        run_start = idx[np.flatnonzero(chg)][np.cumsum(chg) - 1]
-        seg_start = idx[np.flatnonzero(first)][np.cumsum(first) - 1]
-        rnk = run_start - seg_start + 1
+    def fold(b, starts):
         return pa.table({
-            "o_orderkey": pa.array(ids[order], type=pa.int64()),
-            "o_custkey": pa.array(sk, type=pa.int64()),
-            "o_totalprice": pa.array(sv, type=pa.float64()),
-            "rnk": pa.array(rnk, type=pa.int64()),
+            "o_orderkey": b.column("o_orderkey"),
+            "o_custkey": b.column("o_custkey"),
+            "o_totalprice": b.column("o_totalprice"),
+            "rnk": pa.array(_sql_rank(starts, np_col(b, "o_totalprice"))),
         })
 
-    return (_read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-            .repartition(8, keys=["o_custkey"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]),
+        ["o_custkey"], fold, 8, _BY_PRICE_DESC)
 
 
 def _q_order_percent_rank(sf_dir: str):
     """percent_rank() per customer by price desc: (rank-1)/(n-1) with
     gap-rank semantics (ties share), 0.0 for single-row groups — the
     same double division SQL performs, so values are bit-identical."""
-    import pyarrow as pa
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "o_orderkey": pa.array([], type=pa.int64()),
-                "pct_rank": pa.array([], type=pa.float64()),
-            })
-        k = as_array(b.column("o_custkey")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        v = as_array(b.column("o_totalprice")) \
-            .to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("o_orderkey")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -v, k))
-        sk, sv = k[order], v[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        chg = first.copy()
-        chg[1:] |= sv[1:] != sv[:-1]
-        idx = np.arange(len(sk), dtype=np.int64)
-        run_start = idx[np.flatnonzero(chg)][np.cumsum(chg) - 1]
-        seg_start = idx[np.flatnonzero(first)][np.cumsum(first) - 1]
-        starts = np.flatnonzero(first)
-        sizes = np.diff(np.append(starts, len(sk)))
-        n_in_group = np.repeat(sizes, sizes)
-        rnk = run_start - seg_start + 1
+    def fold(b, starts):
+        n = len(b)
+        rnk = _sql_rank(starts, np_col(b, "o_totalprice"))
+        n_in_group = (segment_ends(starts, n) - starts)[
+            segment_ids(starts, n)]
         pr = np.where(n_in_group > 1,
                       (rnk - 1).astype(np.float64)
                       / np.maximum(n_in_group - 1, 1), 0.0)
         return pa.table({
-            "o_orderkey": pa.array(ids[order], type=pa.int64()),
+            "o_orderkey": b.column("o_orderkey"),
             "pct_rank": pa.array(pr, type=pa.float64()),
         })
 
-    return (_read(sf_dir, "orders",
-                  ["o_orderkey", "o_custkey", "o_totalprice"])
-            .repartition(8, keys=["o_custkey"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]),
+        ["o_custkey"], fold, 8, _BY_PRICE_DESC)
 
 
 def _q_order_ntile(sf_dir: str):
     """ntile(4) per customer (price desc, orderkey tie-break): ANSI
     bucket sizing — the first (n mod k) buckets take ceil(n/k) rows —
     computed from each row's 0-based position within its group."""
-    import pyarrow as pa
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     K = 4
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "o_orderkey": pa.array([], type=pa.int64()),
-                "bucket": pa.array([], type=pa.int64()),
-            })
-        k = as_array(b.column("o_custkey")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        v = as_array(b.column("o_totalprice")) \
-            .to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("o_orderkey")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -v, k))
-        sk = k[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        sizes = np.diff(np.append(starts, len(sk)))
-        n = np.repeat(sizes, sizes)
-        pos = np.arange(len(sk), dtype=np.int64) \
-            - np.repeat(starts, sizes)
+    def fold(b, starts):
+        pos = rank_in_segment(starts, len(b))
+        n = (segment_ends(starts, len(b)) - starts)[
+            segment_ids(starts, len(b))]
         q, r = n // K, n % K
         big = (q + 1) * r  # rows covered by the ceil-sized buckets
         bucket = np.where(
@@ -3509,15 +3257,13 @@ def _q_order_ntile(sf_dir: str):
             r + (pos - big) // np.maximum(q, 1) + 1,
         )
         return pa.table({
-            "o_orderkey": pa.array(ids[order], type=pa.int64()),
+            "o_orderkey": b.column("o_orderkey"),
             "bucket": pa.array(bucket.astype(np.int64), type=pa.int64()),
         })
 
-    return (_read(sf_dir, "orders",
-                  ["o_orderkey", "o_custkey", "o_totalprice"])
-            .repartition(8, keys=["o_custkey"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]),
+        ["o_custkey"], fold, 8, _BY_PRICE_DESC)
 
 
 def _q_daily_top_event(sf_dir: str):
@@ -3591,13 +3337,7 @@ def _q_lang_nchars_stddev(sf_dir: str):
             "sxx": g.column("sxx_sum").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "lang": pa.array([], type=pa.string()),
-                "n_docs": pa.array([], type=pa.int64()),
-                "sd_pop": pa.array([], type=pa.float64()),
-            })
+    def fold(b, _):
         g = b.group_by("lang").aggregate(
             [("n", "sum"), ("sx", "sum"), ("sxx", "sum")])
         n = g.column("n_sum").to_numpy(zero_copy_only=False) \
@@ -3614,12 +3354,10 @@ def _q_lang_nchars_stddev(sf_dir: str):
             "sd_pop": pa.array(sd, type=pa.float64()),
         })
 
-    return (_read(sf_dir, "documents", ["lang", "n_chars"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(2, keys=["lang"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "documents", ["lang", "n_chars"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["lang"], fold, 2, None)
 
 
 def _q_transcript_reply_latency(sf_dir: str):
@@ -3628,36 +3366,19 @@ def _q_transcript_reply_latency(sf_dir: str):
     (ts[i+1]-ts[i]); returns n_replies / mean / max seconds per conv
     (0 / 0.0 when the conv has no such adjacency). One conv-key shuffle,
     masked adjacent-diff kernel — the transcript analogue of lag()."""
-    import pyarrow as pa
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "ts", "role"])
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "conv_id": pa.array([], type=pa.string()),
-                "n_replies": pa.array([], type=pa.int64()),
-                "mean_reply_s": pa.array([], type=pa.float64()),
-                "max_reply_s": pa.array([], type=pa.float64()),
-            })
-        conv = as_array(b.column("conv_id")).to_numpy(zero_copy_only=False)
-        tidx = as_array(b.column("turn_idx")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        role = as_array(b.column("role")).to_numpy(zero_copy_only=False)
-        _, codes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, codes))
-        c, t, r = codes[order], ts[order], role[order]
-        first = np.empty(len(c), dtype=bool)
-        first[0] = True
-        np.not_equal(c[1:], c[:-1], out=first[1:])
+    def fold(b, starts):
+        t = np_col(b, "ts").astype(np.int64)
+        r = np_col(b, "role")
+        first = np.zeros(len(t), dtype=bool)
+        first[starts] = True
         adj = (~first[1:]) & (r[:-1] == "user") & (r[1:] == "assistant")
         lat_us = np.where(adj, t[1:] - t[:-1], 0)  # int µs: exact sums
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(c))
+        ends = segment_ends(starts, len(t))
         csum = np.concatenate([[0], np.cumsum(lat_us)])
         ccnt = np.concatenate([[0], np.cumsum(adj)])
         # per-conv segment of the adjacency arrays is [start, end-1)
@@ -3674,7 +3395,7 @@ def _q_transcript_reply_latency(sf_dir: str):
             n_rep > 0,
             s_rep.astype(np.float64) / np.maximum(n_rep, 1) / 1e6, 0.0)
         return pa.table({
-            "conv_id": pa.array(conv[order][starts]),
+            "conv_id": b.column("conv_id").take(starts),
             "n_replies": pa.array(n_rep, type=pa.int64()),
             "mean_reply_s": pa.array(
                 np.floor(mean_s * 1000.0 + 0.5) / 1000.0,
@@ -3684,10 +3405,8 @@ def _q_transcript_reply_latency(sf_dir: str):
                 / 1000.0, type=pa.float64()),
         })
 
-    return (ds.select_columns(["conv_id", "turn_idx", "ts", "role"])
-            .repartition(16, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.select_columns(["conv_id", "turn_idx", "ts", "role"]),
+                      ["conv_id"], fold, 16, ("turn_idx",))
 
 
 def _q_fuzzy_boilerplate_turns(sf_dir: str):
@@ -3714,12 +3433,7 @@ def _q_fuzzy_boilerplate_turns(sf_dir: str):
         return t.select(["simhash", "conv_id"]) \
             .group_by(["simhash", "conv_id"]).aggregate([])
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "simhash": pa.array([], type=pa.uint64()),
-                "n_convs": pa.array([], type=pa.int64()),
-            })
+    def fold(b, _):
         d = b.group_by(["simhash", "conv_id"]).aggregate([])
         g = d.group_by("simhash").aggregate([("conv_id", "count")])
         g = g.filter(pc.greater_equal(g.column("conv_id_count"), 2))
@@ -3728,12 +3442,10 @@ def _q_fuzzy_boilerplate_turns(sf_dir: str):
             "n_convs": g.column("conv_id_count").cast(pa.int64()),
         })
 
-    folded = (ds.select_columns(["conv_id", "text"])
-              .map_batches(prep, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .repartition(16, keys=["simhash"])
-              .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                           zero_copy_batch=True))
+    folded = keyed_fold(ds.select_columns(["conv_id", "text"])
+                        .map_batches(prep, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                        ["simhash"], fold, 16, None)
     return top_k(folded, [("n_convs", "descending"),
                           ("simhash", "ascending")], 20)
 
@@ -3743,9 +3455,7 @@ def _q_orders_above_customer_avg(sf_dir: str):
     average price. The comparison stays in integers (cents * n_group >
     sum_cents) so it is exact — no float-average drift; one keyed
     shuffle, segment sums broadcast back to rows."""
-    import pyarrow as pa
     import pyarrow.compute as pc
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     def project(b):
         return pa.table({
@@ -3755,38 +3465,18 @@ def _q_orders_above_customer_avg(sf_dir: str):
                 .cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "o_orderkey": pa.array([], type=pa.int64()),
-                "o_custkey": pa.array([], type=pa.int64()),
-                "cents": pa.array([], type=pa.int64()),
-            })
-        k = as_array(b.column("o_custkey")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("o_orderkey")).to_numpy(zero_copy_only=False)
-        cents = as_array(b.column("cents")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, k))
-        sk, sc = k[order], cents[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        seg_id = np.cumsum(first) - 1
-        starts = np.flatnonzero(first)
-        totals = np.add.reduceat(sc, starts)
-        lens = np.diff(np.append(starts, len(sk)))
-        keep = sc * lens[seg_id] > totals[seg_id]
-        return pa.table({
-            "o_orderkey": pa.array(ids[order][keep], type=pa.int64()),
-            "o_custkey": pa.array(sk[keep], type=pa.int64()),
-            "cents": pa.array(sc[keep], type=pa.int64()),
-        })
+    def fold(b, starts):
+        sc = np_col(b, "cents")
+        seg = segment_ids(starts, len(sc))
+        lens = segment_ends(starts, len(sc)) - starts
+        keep = sc * lens[seg] > np.add.reduceat(sc, starts)[seg]
+        return b.select(["o_orderkey", "o_custkey", "cents"]) \
+            .filter(pa.array(keep))
 
-    return (_read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-            .map_batches(project, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(8, keys=["o_custkey"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
+        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        ["o_custkey"], fold, 8, ("o_orderkey",))
 
 
 def _q_event_pivot_melt(sf_dir: str):
@@ -3920,7 +3610,7 @@ def _q_events_dow_hour(sf_dir: str):
             "sum_cents": g.column("cents_sum").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by(["dow", "hour"]).aggregate(
             [("n", "sum"), ("sum_cents", "sum")])
         return pa.table({
@@ -3930,12 +3620,10 @@ def _q_events_dow_hour(sf_dir: str):
             "sum_cents": g.column("sum_cents_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "events", ["ts", "value"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(2, keys=["dow", "hour"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "events", ["ts", "value"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["dow", "hour"], fold, 2, None)
 
 
 def _q_join_size_estimate(sf_dir: str):
@@ -4049,13 +3737,7 @@ def _q_events_hopping_window(sf_dir: str):
             "sum_cents": g.column("cents_sum").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "window_start": pa.array([], type=pa.string()),
-                "n": pa.array([], type=pa.int64()),
-                "sum_cents": pa.array([], type=pa.int64()),
-            })
+    def fold(b, _):
         g = b.group_by("ws_us").aggregate(
             [("n", "sum"), ("sum_cents", "sum")])
         ws = pc.strftime(g.column("ws_us").cast(pa.timestamp("us")),
@@ -4066,12 +3748,10 @@ def _q_events_hopping_window(sf_dir: str):
             "sum_cents": g.column("sum_cents_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "events", ["ts", "value"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["ws_us"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "events", ["ts", "value"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["ws_us"], fold, 4, None)
 
 
 def _q_dup_rate_by_source(sf_dir: str):
@@ -4093,13 +3773,7 @@ def _q_dup_rate_by_source(sf_dir: str):
             "text_hash": pa.array(h1, type=pa.uint64()),
         })
 
-    def flag(b):
-        if len(b) == 0:
-            return pa.table({
-                "source": pa.array([], type=pa.string()),
-                "n_docs": pa.array([], type=pa.int64()),
-                "n_dup_docs": pa.array([], type=pa.int64()),
-            })
+    def flag(b, _):
         counts = b.group_by("text").aggregate([("text", "count")])
         joined = b.select(["source", "text"]).join(
             counts, keys=["text"], join_type="inner")
@@ -4113,7 +3787,7 @@ def _q_dup_rate_by_source(sf_dir: str):
             "n_dup_docs": g.column("dup_sum").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("source").aggregate(
             [("n_docs", "sum"), ("n_dup_docs", "sum")])
         return pa.table({
@@ -4122,15 +3796,10 @@ def _q_dup_rate_by_source(sf_dir: str):
             "n_dup_docs": g.column("n_dup_docs_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "documents", ["source", "text"])
-            .map_batches(add_hash, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(8, keys=["text_hash"])
-            .map_batches(flag, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(2, keys=["source"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    docs = _read(sf_dir, "documents", ["source", "text"]).map_batches(
+        add_hash, batch_format="pyarrow", zero_copy_batch=True)
+    flags = keyed_fold(docs, ["text_hash"], flag, 8, None)
+    return keyed_fold(flags, ["source"], fold, 2, None)
 
 
 def _q_dup_rate_weekly(sf_dir: str):
@@ -4141,38 +3810,14 @@ def _q_dup_rate_weekly(sf_dir: str):
     conv_id-keyed assembly carrying min(ts), then a text-hash shuffle
     flags global copies, folding back per week."""
     import numpy as np
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
     from apache_datasketches_go_ray.functions.murmur3 import hash_strings
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
-    from apache_datasketches_go_ray.stages.assemble import TURN_SEP
 
-    _CONV_SCHEMA = pa.schema([("week", pa.string()),
-                              ("text", pa.string()),
-                              ("text_hash", pa.uint64())])
-
-    def conv_rows(b):
-        if len(b) == 0:
-            return _CONV_SCHEMA.empty_table()
-        conv = as_array(b.column("conv_id"))
-        dict_arr = as_array(pc.dictionary_encode(conv))
-        codes = dict_arr.indices.to_numpy(zero_copy_only=False)
-        tidx = as_array(b.column("turn_idx")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((tidx, codes))
-        codes_s = codes[order]
-        texts = as_array(b.column("text")).take(pa.array(order))
-        n_convs = len(dict_arr.dictionary)
-        counts = np.bincount(codes_s, minlength=n_convs)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        turns = pa.ListArray.from_arrays(
-            pa.array(offsets, type=pa.int32()),
-            texts.cast(pa.string()) if texts.type != pa.string() else texts)
-        joined = pc.binary_join(turns, TURN_SEP)
-        ts = as_array(b.column("ts")).cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        first_ts = np.full(n_convs, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(first_ts, codes, ts)
+    def conv_rows(b, starts):
+        joined = _conv_texts(b, starts)
+        first_ts = np.minimum.reduceat(np_col(b, "ts").astype(np.int64),
+                                       starts)
         wk = pc.strftime(
             pc.floor_temporal(
                 pa.array(first_ts, type=pa.int64()).cast(pa.timestamp("us")),
@@ -4182,13 +3827,7 @@ def _q_dup_rate_weekly(sf_dir: str):
         return pa.table({"week": wk, "text": joined,
                          "text_hash": pa.array(h1, type=pa.uint64())})
 
-    def flag(b):
-        if len(b) == 0:
-            return pa.table({
-                "week": pa.array([], type=pa.string()),
-                "n_convs": pa.array([], type=pa.int64()),
-                "n_dup_convs": pa.array([], type=pa.int64()),
-            })
+    def flag(b, _):
         counts = b.group_by("text").aggregate([("text", "count")])
         joined = b.select(["week", "text"]).join(
             counts, keys=["text"], join_type="inner")
@@ -4201,7 +3840,7 @@ def _q_dup_rate_weekly(sf_dir: str):
             "n_dup_convs": g.column("dup_sum").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("week").aggregate(
             [("n_convs", "sum"), ("n_dup_convs", "sum")])
         return pa.table({
@@ -4212,15 +3851,9 @@ def _q_dup_rate_weekly(sf_dir: str):
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "text", "ts"])
-    return (ds.repartition(8, keys=["conv_id"])
-            .map_batches(conv_rows, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(8, keys=["text_hash"])
-            .map_batches(flag, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(2, keys=["week"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    convs = keyed_fold(ds, ["conv_id"], conv_rows, 8, ("turn_idx",))
+    flags = keyed_fold(convs, ["text_hash"], flag, 8, None)
+    return keyed_fold(flags, ["week"], fold, 2, None)
 
 
 def _q_conv_prefix_dups(sf_dir: str, k: int = 3):
@@ -4231,47 +3864,25 @@ def _q_conv_prefix_dups(sf_dir: str, k: int = 3):
     assembly, then a prefix-hash shuffle folds families; only families
     with >= 2 members are emitted."""
     import numpy as np
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
     from apache_datasketches_go_ray.functions.murmur3 import hash_strings
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
-    from apache_datasketches_go_ray.stages.assemble import TURN_SEP
 
-    _PREFIX_SCHEMA = pa.schema([("conv_id", pa.string()),
-                                ("prefix", pa.string()),
-                                ("prefix_hash", pa.uint64())])
-
-    def prefix_rows(b):
-        b = b.filter(pc.less(b.column("turn_idx"), k))
-        if len(b) == 0:
-            return _PREFIX_SCHEMA.empty_table()
-        conv = as_array(b.column("conv_id"))
-        dict_arr = as_array(pc.dictionary_encode(conv))
-        codes = dict_arr.indices.to_numpy(zero_copy_only=False)
-        tidx = as_array(b.column("turn_idx")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((tidx, codes))
-        texts = as_array(b.column("text")).take(
-            pa.array(order, type=pa.int64()))
-        n_convs = len(dict_arr.dictionary)
-        counts = np.bincount(codes[order], minlength=n_convs)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        turns = pa.ListArray.from_arrays(
-            pa.array(offsets, type=pa.int32()),
-            texts.cast(pa.string()) if texts.type != pa.string() else texts)
-        joined = pc.binary_join(turns, TURN_SEP)
+    def prefix_rows(b, starts):
+        # turns sort by turn_idx, so a conv keeps its first row when it
+        # keeps any
+        first = np.zeros(len(b), dtype=bool)
+        first[starts] = True
+        keep = np_col(b, "turn_idx") < k
+        b = b.filter(pa.array(keep))
+        starts = np.flatnonzero(first[keep])
+        joined = _conv_texts(b, starts)
         h1, _ = hash_strings(joined)
-        return pa.table({"conv_id": dict_arr.dictionary,
+        return pa.table({"conv_id": b.column("conv_id").take(starts),
                          "prefix": joined,
                          "prefix_hash": pa.array(h1, type=pa.uint64())})
 
-    _OUT_SCHEMA = pa.schema([("keeper_conv", pa.string()),
-                             ("n_convs", pa.int64()),
-                             ("prefix_chars", pa.int64())])
-
-    def fold(b):
-        if len(b) == 0:
-            return _OUT_SCHEMA.empty_table()
+    def fold(b, _):
         g = b.group_by("prefix").aggregate(
             [("conv_id", "min"), ("conv_id", "count")])
         g = g.filter(pc.greater_equal(g.column("conv_id_count"), 2))
@@ -4284,12 +3895,8 @@ def _q_conv_prefix_dups(sf_dir: str, k: int = 3):
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "text"])
-    return (ds.repartition(8, keys=["conv_id"])
-            .map_batches(prefix_rows, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
-            .repartition(8, keys=["prefix_hash"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    prefixes = keyed_fold(ds, ["conv_id"], prefix_rows, 8, ("turn_idx",))
+    return keyed_fold(prefixes, ["prefix_hash"], fold, 8, None)
 
 
 def _q_sft_pair_dups(sf_dir: str):
@@ -4299,37 +3906,15 @@ def _q_sft_pair_dups(sf_dir: str):
     must drop to avoid training-set over-weighting. conv-keyed pair
     extraction (same adjacency mask as sft_pairs), then a pair-hash
     shuffle counts copies."""
-    import numpy as np
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
     from apache_datasketches_go_ray.functions.murmur3 import hash_strings
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
-    _PAIR_SCHEMA = pa.schema([("prompt", pa.large_string()),
-                              ("response", pa.large_string()),
-                              ("pair_hash", pa.uint64())])
-
-    def pairs(b):
-        if len(b) == 0:
-            return _PAIR_SCHEMA.empty_table()
-        conv = as_array(b.column("conv_id"))
-        dict_arr = as_array(pc.dictionary_encode(conv))
-        ccodes = dict_arr.indices.to_numpy(zero_copy_only=False)
-        tidx = as_array(b.column("turn_idx")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((tidx, ccodes))
-        role = as_array(b.column("role")).take(
-            pa.array(order, type=pa.int64()))
-        is_user = pc.equal(role, "user").to_numpy(zero_copy_only=False)
-        is_asst = pc.equal(role, "assistant").to_numpy(zero_copy_only=False)
-        c = ccodes[order]
-        same_conv = np.concatenate([c[1:] == c[:-1], [False]])
-        nxt_asst = np.concatenate([is_asst[1:], [False]])
-        take = np.flatnonzero(is_user & same_conv & nxt_asst)
-        text = as_array(b.column("text")).cast(pa.large_string())
-        o = np.asarray(order)
-        prompt = text.take(pa.array(o[take], type=pa.int64()))
-        response = text.take(pa.array(o[take + 1], type=pa.int64()))
+    def pairs(b, starts):
+        take = _user_reply_rows(b, starts)
+        text = b.column("text").cast(pa.large_string()).combine_chunks()
+        prompt = text.take(pa.array(take, type=pa.int64()))
+        response = text.take(pa.array(take + 1, type=pa.int64()))
         # hash the pair as one string with an unlikely separator
         h1, _ = hash_strings(pc.binary_join_element_wise(
             prompt.cast(pa.string()), response.cast(pa.string()),
@@ -4337,13 +3922,7 @@ def _q_sft_pair_dups(sf_dir: str):
         return pa.table({"prompt": prompt, "response": response,
                          "pair_hash": pa.array(h1, type=pa.uint64())})
 
-    _OUT_SCHEMA = pa.schema([("prompt", pa.large_string()),
-                             ("response", pa.large_string()),
-                             ("n_copies", pa.int64())])
-
-    def fold(b):
-        if len(b) == 0:
-            return _OUT_SCHEMA.empty_table()
+    def fold(b, _):
         g = b.group_by(["prompt", "response"]).aggregate(
             [("pair_hash", "count")])
         g = g.filter(pc.greater_equal(g.column("pair_hash_count"), 2))
@@ -4356,12 +3935,8 @@ def _q_sft_pair_dups(sf_dir: str):
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "role",
                                         "text"])
-    return (ds.repartition(16, keys=["conv_id"])
-            .map_batches(pairs, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(8, keys=["pair_hash"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    sft_pairs = keyed_fold(ds, ["conv_id"], pairs, 16, ("turn_idx",))
+    return keyed_fold(sft_pairs, ["pair_hash"], fold, 8, None)
 
 
 def _q_conv_shared_turns(sf_dir: str, lo: int = 2, hi: int = 20):
@@ -4385,13 +3960,7 @@ def _q_conv_shared_turns(sf_dir: str, lo: int = 2, hi: int = 20):
                          "text": d.column("text"),
                          "text_hash": pa.array(h1, type=pa.uint64())})
 
-    _PAIR_SCHEMA = pa.schema([("conv_a", pa.string()),
-                              ("conv_b", pa.string()),
-                              ("n_shared", pa.int64())])
-
-    def pairs(b):
-        if len(b) == 0:
-            return _PAIR_SCHEMA.empty_table()
+    def pairs(b, _):
         d = b.select(["conv_id", "text"]).group_by(
             ["conv_id", "text"]).aggregate([])
         counts = d.group_by("text").aggregate([("conv_id", "count")])
@@ -4413,9 +3982,7 @@ def _q_conv_shared_turns(sf_dir: str, lo: int = 2, hi: int = 20):
             "n_shared": g.column("conv_a_count").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return _PAIR_SCHEMA.empty_table()
+    def fold(b, _):
         g = b.group_by(["conv_a", "conv_b"]).aggregate(
             [("n_shared", "sum")])
         g = g.filter(pc.greater_equal(g.column("n_shared_sum"), 2))
@@ -4427,14 +3994,10 @@ def _q_conv_shared_turns(sf_dir: str, lo: int = 2, hi: int = 20):
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "text"])
-    return (ds.map_batches(distinct_rows, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(8, keys=["text_hash"])
-            .map_batches(pairs, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(4, keys=["conv_a"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    shared = keyed_fold(ds.map_batches(distinct_rows, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                        ["text_hash"], pairs, 8, None)
+    return keyed_fold(shared, ["conv_a"], fold, 4, None)
 
 
 def _q_template_dups(sf_dir: str):
@@ -4458,14 +4021,7 @@ def _q_template_dups(sf_dir: str):
                          "mtext": m,
                          "mhash": pa.array(h1, type=pa.uint64())})
 
-    _OUT_SCHEMA = pa.schema([("keeper_conv", pa.string()),
-                             ("n_turns", pa.int64()),
-                             ("n_convs", pa.int64()),
-                             ("mtext_chars", pa.int64())])
-
-    def fold(b):
-        if len(b) == 0:
-            return _OUT_SCHEMA.empty_table()
+    def fold(b, _):
         g = b.group_by("mtext").aggregate(
             [("conv_id", "min"), ("conv_id", "count"),
              ("conv_id", "count_distinct")])
@@ -4481,11 +4037,9 @@ def _q_template_dups(sf_dir: str):
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "text"])
-    return (ds.map_batches(mask, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(8, keys=["mhash"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.map_batches(mask, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                      ["mhash"], fold, 8, None)
 
 
 def _q_trailing_active_users(sf_dir: str):
@@ -4659,12 +4213,7 @@ def _q_cluster_size_histogram(sf_dir: str):
             "n": g.column("conv_id_count").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "cluster_size": pa.array([], type=pa.int64()),
-                "n_clusters": pa.array([], type=pa.int64()),
-            })
+    def fold(b, _):
         g = b.group_by("cluster_id").aggregate([("n", "sum")])
         h = pa.table({"size": g.column("n_sum").cast(pa.int64())}) \
             .group_by("size").aggregate([("size", "count")])
@@ -4673,12 +4222,10 @@ def _q_cluster_size_histogram(sf_dir: str):
             "n_clusters": h.column("size_count").cast(pa.int64()),
         })
 
-    return (clusters
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["cluster_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(clusters
+                       .map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["cluster_id"], fold, 4, None)
             .repartition(1)
             .map_batches(lambda b: b.group_by("cluster_size").aggregate(
                 [("n_clusters", "sum")]).rename_columns(
@@ -4706,7 +4253,7 @@ def _q_user_spend_summary(sf_dir: str):
             "cents": g.column("cents_sum").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("user_id").aggregate([("cents", "sum")])
         return pa.table({
             "user_id": g.column("user_id"),
@@ -4731,12 +4278,10 @@ def _q_user_spend_summary(sf_dir: str):
                                        type=pa.int64()),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "value"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(_read(sf_dir, "events", ["user_id", "value"])
+                       .map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["user_id"], fold, 4, None)
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
@@ -4762,7 +4307,7 @@ def _q_docs_containing_pattern(sf_dir: str):
             "n_match": g.column("hit_sum").cast(pa.int64()),
         })
 
-    def fold(b):
+    def fold(b, _):
         g = b.group_by("lang").aggregate([("n_docs", "sum"),
                                           ("n_match", "sum")])
         return pa.table({
@@ -4771,12 +4316,10 @@ def _q_docs_containing_pattern(sf_dir: str):
             "n_match": g.column("n_match_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "documents", ["lang", "text"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(2, keys=["lang"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "documents", ["lang", "text"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["lang"], fold, 2, None)
 
 
 def _q_transcript_role_paths(sf_dir: str):
@@ -4786,44 +4329,24 @@ def _q_transcript_role_paths(sf_dir: str):
     partition key). One conv-key shuffle; the concatenation is
     zero-loop: sorted roles wrapped in a ListArray whose offsets are
     the conversation boundaries, joined natively with binary_join."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "role"])
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                "conv_id": pa.array([], type=pa.string()),
-                "n_turns": pa.array([], type=pa.int64()),
-                "role_path": pa.array([], type=pa.string()),
-            })
-        conv = as_array(b.column("conv_id")).to_numpy(zero_copy_only=False)
-        tidx = as_array(b.column("turn_idx")).to_numpy(zero_copy_only=False)
-        _, codes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, codes))
-        c = codes[order]
-        first = np.empty(len(c), dtype=bool)
-        first[0] = True
-        np.not_equal(c[1:], c[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        offsets = np.append(starts, len(c)).astype(np.int32)
-        roles = as_array(b.column("role")).cast(pa.string()).take(
-            pa.array(order, type=pa.int64()))
+    def fold(b: pa.Table, starts) -> pa.Table:
+        offsets = np.append(starts, len(b)).astype(np.int32)
+        roles = b.column("role").cast(pa.string()).combine_chunks()
         lists = pa.ListArray.from_arrays(pa.array(offsets), roles)
         return pa.table({
-            "conv_id": pa.array(conv[order][starts]),
+            "conv_id": b.column("conv_id").take(starts),
             "n_turns": pa.array(np.diff(offsets), type=pa.int64()),
             "role_path": pc.binary_join(lists, ">"),
         })
 
-    return (ds.select_columns(["conv_id", "turn_idx", "role"])
-            .repartition(16, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.select_columns(["conv_id", "turn_idx", "role"]),
+                      ["conv_id"], fold, 16, ("turn_idx",))
 
 
 def _q_transcript_tool_usage(sf_dir: str):
@@ -4855,14 +4378,7 @@ def _q_transcript_tool_usage(sf_dir: str):
             "n_calls": g.column("tlen_count").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "tool": pa.array([], type=pa.string()),
-                "n_calls": pa.array([], type=pa.int64()),
-                "n_convs": pa.array([], type=pa.int64()),
-                "mean_call_len": pa.array([], type=pa.float64()),
-            })
+    def fold(b, _):
         d0 = b.group_by(["tool", "conv_id"]).aggregate(
             [("sum_len", "sum"), ("n_calls", "sum")])
         d = pa.table({
@@ -4887,12 +4403,10 @@ def _q_transcript_tool_usage(sf_dir: str):
                 / 1000.0, type=pa.float64()),
         })
 
-    return (ds.select_columns(["tool", "conv_id", "text"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["tool"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.select_columns(["tool", "conv_id", "text"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["tool"], fold, 4, None)
 
 
 def _q_tfidf_top_terms(sf_dir: str):
@@ -5035,47 +4549,27 @@ def _q_role_alternation(sf_dir: str):
     n_turns, count of adjacent same-role turn pairs (a structure
     violation for chat-format training data) and the opening role.
     One conv-key shuffle + vectorized in-block fold."""
-    import pyarrow as pa
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "role"])
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "conv_id": pa.array([], type=pa.string()),
-                "n_turns": pa.array([], type=pa.int64()),
-                "n_repeats": pa.array([], type=pa.int64()),
-                "first_role": pa.array([], type=pa.string()),
-            })
-        conv = as_array(b.column("conv_id")).to_numpy(zero_copy_only=False)
-        tidx = as_array(b.column("turn_idx")).to_numpy(zero_copy_only=False)
-        role = as_array(b.column("role"))
-        _, ccodes = np.unique(conv, return_inverse=True)
-        _, rcodes = np.unique(
-            role.to_numpy(zero_copy_only=False), return_inverse=True)
-        order = np.lexsort((tidx, ccodes))
-        c, r = ccodes[order], rcodes[order]
-        first = np.empty(len(c), dtype=bool)
-        first[0] = True
-        np.not_equal(c[1:], c[:-1], out=first[1:])
+    def fold(b, starts):
+        r = np_col(b, "role")
+        first = np.zeros(len(r), dtype=bool)
+        first[starts] = True
         same = np.concatenate([[False], (r[1:] == r[:-1]) & ~first[1:]])
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(c))
+        ends = segment_ends(starts, len(r))
         rep = np.concatenate([[0], np.cumsum(same)])
         return pa.table({
-            "conv_id": pa.array(conv[order][starts]),
+            "conv_id": b.column("conv_id").take(starts),
             "n_turns": pa.array(ends - starts, type=pa.int64()),
             "n_repeats": pa.array(rep[ends] - rep[starts],
                                   type=pa.int64()),
-            "first_role": role.take(pa.array(order[starts])),
+            "first_role": b.column("role").take(starts),
         })
 
-    return (ds.repartition(16, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds, ["conv_id"], fold, 16, ("turn_idx",))
 
 
 def _q_vocab_stats_by_source(sf_dir: str):
@@ -5178,16 +4672,7 @@ def _q_conv_turn_repeats(sf_dir: str):
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "text"])
 
-    _empty = pa.table({
-        "conv_id": pa.array([], type=pa.string()),
-        "n_turns": pa.array([], type=pa.int64()),
-        "n_distinct_texts": pa.array([], type=pa.int64()),
-        "max_text_repeats": pa.array([], type=pa.int64()),
-    })
-
-    def fold(b):
-        if len(b) == 0:
-            return _empty
+    def fold(b, _):
         g = b.group_by(["conv_id", "text"]).aggregate([("text", "count")])
         g2 = g.group_by("conv_id").aggregate([
             ("text_count", "sum"), ("text_count", "count"),
@@ -5201,9 +4686,7 @@ def _q_conv_turn_repeats(sf_dir: str):
                 g2.column("text_count_max").cast(pa.int64()),
         })
 
-    return (ds.repartition(16, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds, ["conv_id"], fold, 16, None)
 
 
 def _q_tokenizer_fertility(sf_dir: str):
@@ -5318,9 +4801,7 @@ def _q_eval_ngram_coverage(sf_dir: str):
         "n_covered": pa.array([], type=pa.int64()),
     })
 
-    def cover(b):
-        if len(b) == 0:
-            return _empty_cov
+    def cover(b, _):
         d = b.group_by(["bigram", "doc_id"]).aggregate([])
         ids = d.column("doc_id").to_numpy(zero_copy_only=False)
         bg = pc.dictionary_encode(
@@ -5349,11 +4830,9 @@ def _q_eval_ngram_coverage(sf_dir: str):
 
     import pyarrow.compute as pc
 
-    parts = (docs.map_batches(pre, batch_format="pyarrow",
-                              zero_copy_batch=True)
-             .repartition(16, keys=["bigram"])
-             .map_batches(cover, batch_format="pyarrow", batch_size=None,
-                          zero_copy_batch=True))
+    parts = keyed_fold(docs.map_batches(pre, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                       ["bigram"], cover, 16, None)
     tbl = gather_table(parts, schema=_empty_cov.schema)
     g = tbl.group_by("doc_id").aggregate(
         [("n_bigrams", "sum"), ("n_covered", "sum")])
@@ -5439,46 +4918,21 @@ def _q_sft_context_windows(sf_dir: str):
     conv-key shuffle; per block an in-block lexsort, vectorized ragged
     window gather (repeat/arange index arithmetic — no per-row Python),
     and one LargeListArray + binary_join."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     K = 4
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "role",
                                         "text"])
-    _empty = pa.table({
-        "conv_id": pa.array([], type=pa.string()),
-        "turn_idx": pa.array([], type=pa.int32()),
-        "context": pa.array([], type=pa.large_string()),
-        "n_ctx": pa.array([], type=pa.int64()),
-        "target": pa.array([], type=pa.large_string()),
-    })
 
-    def fold(b):
-        if len(b) == 0:
-            return _empty
-        conv = as_array(b.column("conv_id")).to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        _, ccodes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, ccodes))
-        texts = as_array(b.column("text")).cast(pa.large_string()).take(
-            pa.array(order, type=pa.int64()))
-        roles = as_array(b.column("role")).to_numpy(
-            zero_copy_only=False)[order]
-        c = ccodes[order]
-        first = np.empty(len(c), dtype=bool)
-        first[0] = True
-        np.not_equal(c[1:], c[:-1], out=first[1:])
-        seg_start = np.maximum.accumulate(
-            np.where(first, np.arange(len(c)), 0))
-        rows = np.arange(len(c))
-        lo = np.maximum(seg_start, rows - K)
+    def fold(b, starts):
+        texts = b.column("text").cast(pa.large_string()).combine_chunks()
+        roles = np_col(b, "role")
+        rows = np.arange(len(b))
+        lo = np.maximum(starts[segment_ids(starts, len(b))], rows - K)
         is_tgt = (roles == "assistant") & (rows > lo)
         ti, tlo = rows[is_tgt], lo[is_tgt]
-        if not len(ti):
-            return _empty
         L = (ti - tlo).astype(np.int64)
         total = int(L.sum())
         base = np.repeat(tlo, L)
@@ -5490,17 +4944,14 @@ def _q_sft_context_windows(sf_dir: str):
             pa.scalar("\n", type=pa.large_string()))
         take_t = pa.array(ti, type=pa.int64())
         return pa.table({
-            "conv_id": as_array(b.column("conv_id")).take(
-                pa.array(order, type=pa.int64())).take(take_t),
-            "turn_idx": pa.array(tidx[order][ti], type=pa.int32()),
+            "conv_id": b.column("conv_id").take(take_t),
+            "turn_idx": b.column("turn_idx").take(take_t),
             "context": ctx,
             "n_ctx": pa.array(L),
             "target": texts.take(take_t),
         })
 
-    return (ds.repartition(8, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds, ["conv_id"], fold, 8, ("turn_idx",))
 
 
 def _q_chatml_format(sf_dir: str):
@@ -5509,55 +4960,30 @@ def _q_chatml_format(sf_dir: str):
     joined, stable turn order). Same shape as conversation assembly
     (stages/assemble.py): one conv-key shuffle, in-block lexsort, and a
     zero-loop ListArray + binary_join concatenation."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "role",
                                         "text"])
 
-    _empty = pa.table({
-        "conv_id": pa.array([], type=pa.string()),
-        "n_turns": pa.array([], type=pa.int64()),
-        "chatml": pa.array([], type=pa.large_string()),
-    })
-
-    def fold(b):
-        if len(b) == 0:
-            return _empty
-        conv = as_array(b.column("conv_id")).to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        _, ccodes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, ccodes))
-        role = as_array(b.column("role")).take(
-            pa.array(order, type=pa.int64()))
-        text = as_array(b.column("text")).cast(pa.large_string()).take(
-            pa.array(order, type=pa.int64()))
+    def fold(b, starts):
         tagged = pc.binary_join_element_wise(
             pa.scalar("<|", type=pa.large_string()),
-            role.cast(pa.large_string()),
+            b.column("role").cast(pa.large_string()).combine_chunks(),
             pa.scalar("|>", type=pa.large_string()),
-            text,
+            b.column("text").cast(pa.large_string()).combine_chunks(),
             pa.scalar("", type=pa.large_string()))
-        c = ccodes[order]
-        first = np.empty(len(c), dtype=bool)
-        first[0] = True
-        np.not_equal(c[1:], c[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        offsets = np.append(starts, len(c)).astype(np.int64)
+        offsets = np.append(starts, len(b)).astype(np.int64)
         lists = pa.LargeListArray.from_arrays(pa.array(offsets), tagged)
         return pa.table({
-            "conv_id": pa.array(conv[order][starts]),
+            "conv_id": b.column("conv_id").take(starts),
             "n_turns": pa.array(np.diff(offsets), type=pa.int64()),
             "chatml": pc.binary_join(
                 lists, pa.scalar("\n", type=pa.large_string())),
         })
 
-    return (ds.repartition(16, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds, ["conv_id"], fold, 16, ("turn_idx",))
 
 
 def _q_sft_pairs(sf_dir: str):
@@ -5566,51 +4992,25 @@ def _q_sft_pairs(sf_dir: str):
     training example. One conv-key shuffle + in-block lexsort and an
     adjacent-row mask — the distributed form of the lead() window the
     oracle uses."""
-    import pyarrow as pa
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "role",
                                         "text"])
 
-    _empty = pa.table({
-        "conv_id": pa.array([], type=pa.string()),
-        "turn_idx": pa.array([], type=pa.int32()),
-        "prompt": pa.array([], type=pa.large_string()),
-        "response": pa.array([], type=pa.large_string()),
-    })
-
-    def fold(b):
-        if len(b) == 0:
-            return _empty
-        conv = as_array(b.column("conv_id")).to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        _, ccodes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, ccodes))
-        role = as_array(b.column("role")).take(
-            pa.array(order, type=pa.int64()))
-        is_user = pc.equal(role, "user").to_numpy(zero_copy_only=False)
-        is_asst = pc.equal(role, "assistant") \
-            .to_numpy(zero_copy_only=False)
-        c = ccodes[order]
-        same_conv = np.concatenate([c[1:] == c[:-1], [False]])
-        nxt_asst = np.concatenate([is_asst[1:], [False]])
-        take = np.flatnonzero(is_user & same_conv & nxt_asst)
-        text = as_array(b.column("text")).cast(pa.large_string())
-        o = np.asarray(order)
-        return pa.table({
-            "conv_id": pa.array(conv[o[take]]),
-            "turn_idx": pa.array(tidx[o[take]], type=pa.int32()),
-            "prompt": text.take(pa.array(o[take], type=pa.int64())),
-            "response": text.take(pa.array(o[take + 1], type=pa.int64())),
-        })
-
     import pyarrow.compute as pc
 
-    return (ds.repartition(16, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    def fold(b, starts):
+        take = pa.array(_user_reply_rows(b, starts), type=pa.int64())
+        text = b.column("text").cast(pa.large_string()).combine_chunks()
+        return pa.table({
+            "conv_id": b.column("conv_id").take(take),
+            "turn_idx": b.column("turn_idx").take(take),
+            "prompt": text.take(take),
+            "response": text.take(pc.add(take, 1)),
+        })
+
+    return keyed_fold(ds, ["conv_id"], fold, 16, ("turn_idx",))
 
 
 def _q_prompt_collisions(sf_dir: str):
@@ -5623,59 +5023,31 @@ def _q_prompt_collisions(sf_dir: str):
     ships through the prompt shuffle, so the wide step carries ~24
     bytes + prompt per row; distinct-by-hash equals distinct-by-text
     absent a 64-bit murmur collision (same argument as turnblock)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
     from apache_datasketches_go_ray.functions.murmur3 import hash_strings
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "role",
                                         "text"])
 
-    _MID = pa.schema([("prompt", pa.large_string()),
-                      ("conv_id", pa.string()),
-                      ("rhash", pa.uint64()),
-                      ("rlen", pa.int64())])
-    _OUT = pa.schema([("prompt", pa.large_string()),
-                      ("n_convs", pa.int64()),
-                      ("n_responses", pa.int64()),
-                      ("len_spread", pa.int64())])
-
-    def extract(b):
-        if len(b) == 0:
-            return _MID.empty_table()
-        conv = as_array(b.column("conv_id")).to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        _, ccodes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, ccodes))
-        role = as_array(b.column("role")).take(
-            pa.array(order, type=pa.int64()))
-        is_user = pc.equal(role, "user").to_numpy(zero_copy_only=False)
-        is_asst = pc.equal(role, "assistant").to_numpy(zero_copy_only=False)
-        c = ccodes[order]
-        same_conv = np.concatenate([c[1:] == c[:-1], [False]])
-        nxt_asst = np.concatenate([is_asst[1:], [False]])
-        take = np.flatnonzero(is_user & same_conv & nxt_asst)
-        text = as_array(b.column("text"))
-        o = np.asarray(order)
-        prompts = text.take(pa.array(o[take], type=pa.int64()))
-        keep = pc.greater_equal(pc.utf8_length(prompts), 16) \
+    def extract(b, starts):
+        take = _user_reply_rows(b, starts)
+        text = b.column("text").combine_chunks()
+        keep = pc.greater_equal(pc.utf8_length(text.take(take)), 16) \
             .to_numpy(zero_copy_only=False)
-        take = take[keep]
-        prompts = text.take(pa.array(o[take], type=pa.int64()))
-        responses = text.take(pa.array(o[take + 1], type=pa.int64()))
+        take = pa.array(take[keep], type=pa.int64())
+        prompts = text.take(take)
+        responses = text.take(pc.add(take, 1))
         rh, _ = hash_strings(responses)
         return pa.table({
             "prompt": prompts.cast(pa.large_string()),
-            "conv_id": pa.array(conv[o[take]], type=pa.string()),
+            "conv_id": b.column("conv_id").take(take),
             "rhash": pa.array(rh, type=pa.uint64()),
             "rlen": pc.utf8_length(responses).cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return _OUT.empty_table()
+    def fold(b, _):
         d = b.group_by(["prompt", "conv_id", "rhash", "rlen"]).aggregate([])
         g = d.group_by("prompt").aggregate([
             ("conv_id", "count_distinct"),
@@ -5694,12 +5066,8 @@ def _q_prompt_collisions(sf_dir: str):
                        pc.less_equal(t.column("n_convs"), 20))
         return t.filter(keep)
 
-    return (ds.repartition(16, keys=["conv_id"])
-            .map_batches(extract, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(16, keys=["prompt"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    replies = keyed_fold(ds, ["conv_id"], extract, 16, ("turn_idx",))
+    return keyed_fold(replies, ["prompt"], fold, 16, None)
 
 
 def _q_compression_ratios(sf_dir: str):
@@ -5721,35 +5089,16 @@ def _q_context_truncate(sf_dir: str, budget: int = 512):
     whitespace-token count) and how many tokens they carry — the
     planning numbers for last-N-tokens context packing. One conv-key
     shuffle, segmented reverse cumsum in-block."""
-    import pyarrow as pa
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
     from apache_datasketches_go_ray.stages.corpusops import _tokens_of
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                columns=["conv_id", "turn_idx", "text"])
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "conv_id": pa.array([], type=pa.string()),
-                "n_turns": pa.array([], type=pa.int64()),
-                "n_kept_tail": pa.array([], type=pa.int64()),
-                "tokens_kept": pa.array([], type=pa.int64()),
-            })
-        conv = as_array(b.column("conv_id")).to_numpy(zero_copy_only=False)
-        tidx = as_array(b.column("turn_idx")).to_numpy(
-            zero_copy_only=False).astype(np.int64)
+    def fold(b, starts):
         _, offsets = _tokens_of(b.column("text"))
-        ntok = np.diff(offsets)
-        _, codes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((-tidx, codes))  # per conv, last turn first
-        c, nt = codes[order], ntok[order]
-        first = np.empty(len(c), dtype=bool)
-        first[0] = True
-        np.not_equal(c[1:], c[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(c))
+        nt = np.diff(offsets)
+        ends = segment_ends(starts, len(nt))
         csum = np.cumsum(nt)
         base = np.repeat(csum[starts] - nt[starts], ends - starts)
         rcum = csum - base  # suffix token total down to each turn
@@ -5758,18 +5107,17 @@ def _q_context_truncate(sf_dir: str, budget: int = 512):
         n_kept = nfit[ends] - nfit[starts]
         # tokens in the kept suffix = rcum at the last fitting row
         tokens_kept = np.where(
-            n_kept > 0, rcum[np.minimum(starts + n_kept - 1, len(c) - 1)],
+            n_kept > 0, rcum[np.minimum(starts + n_kept - 1, len(nt) - 1)],
             0).astype(np.int64)
         return pa.table({
-            "conv_id": pa.array(conv[order][starts]),
+            "conv_id": b.column("conv_id").take(starts),
             "n_turns": pa.array(ends - starts, type=pa.int64()),
             "n_kept_tail": pa.array(n_kept, type=pa.int64()),
             "tokens_kept": pa.array(tokens_kept),
         })
 
-    return (ds.repartition(16, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    # per conv, last turn first
+    return keyed_fold(ds, ["conv_id"], fold, 16, ("-turn_idx",))
 
 
 def _q_events_out_of_order(sf_dir: str):
@@ -5778,57 +5126,39 @@ def _q_events_out_of_order(sf_dir: str):
     timestamp behind the running max of earlier arrivals (arrival order
     = event_id) and the worst regression in microseconds. One user-key
     shuffle; segmented running max via an offset-shifted cummax."""
-    import pyarrow as pa
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "user_id": pa.array([], type=pa.int64()),
-                "n_events": pa.array([], type=pa.int64()),
-                "n_out_of_order": pa.array([], type=pa.int64()),
-                "max_regression_us": pa.array([], type=pa.int64()),
-            })
-        uid = as_array(b.column("user_id")).to_numpy(zero_copy_only=False)
-        eid = as_array(b.column("event_id")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        users, codes = np.unique(uid, return_inverse=True)
-        order = np.lexsort((eid, codes))
-        c, t = codes[order], ts[order]
-        first = np.empty(len(c), dtype=bool)
-        first[0] = True
-        np.not_equal(c[1:], c[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(c))
+    def fold(b, starts):
+        t = np_col(b, "ts").astype(np.int64)
+        c = segment_ids(starts, len(t))
+        first = np.zeros(len(t), dtype=bool)
+        first[starts] = True
+        ends = segment_ends(starts, len(t))
         # segmented cummax: shift each segment into its own disjoint
         # value band so accumulate never carries across segments
         t0 = t - t.min()
         K = int(t0.max()) + 1
         n_seg = len(starts)
         assert K * n_seg < (1 << 62), "offset-shift cummax would overflow"
-        shifted = t0 + c.astype(np.int64) * K
+        shifted = t0 + c * K
         run = np.maximum.accumulate(shifted)
         # prior max within the segment (first row of a segment has none)
-        prior = np.concatenate([[0], run[:-1]]) - c.astype(np.int64) * K
+        prior = np.concatenate([[0], run[:-1]]) - c * K
         late = (~first) & (t0 < prior)
         reg = np.where(late, prior - t0, 0)
         nl = np.concatenate([[0], np.cumsum(late)])
         n_late = nl[ends] - nl[starts]
         max_reg = np.maximum.reduceat(reg, starts)
         return pa.table({
-            "user_id": pa.array(users, type=pa.int64()),
+            "user_id": b.column("user_id").take(starts),
             "n_events": pa.array(ends - starts, type=pa.int64()),
             "n_out_of_order": pa.array(n_late, type=pa.int64()),
             "max_regression_us": pa.array(max_reg, type=pa.int64()),
         })
 
-    return (ds.repartition(16, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds, ["user_id"], fold, 16, ("event_id",))
 
 
 def _q_exact_dedup_keep_best(sf_dir: str):
@@ -5850,9 +5180,7 @@ def _q_lang_mad_outliers(sf_dir: str):
     uses instead of mean/stddev. All intermediates are exact binary
     fractions (ints and quarter-integers), so the SQL oracle hashes
     identically. One lang-key shuffle, two in-block lexsorts."""
-    import pyarrow as pa
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
 
@@ -5862,43 +5190,24 @@ def _q_lang_mad_outliers(sf_dir: str):
         hi = starts + n // 2
         return (sorted_vals[lo] + sorted_vals[hi]) / 2.0
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "lang": pa.array([], type=pa.string()),
-                "median_nchars": pa.array([], type=pa.float64()),
-                "mad_nchars": pa.array([], type=pa.float64()),
-                "n_outliers": pa.array([], type=pa.int64()),
-                "n_docs": pa.array([], type=pa.int64()),
-            })
-        lang = as_array(b.column("lang")).to_numpy(zero_copy_only=False)
-        x = as_array(b.column("n_chars")).to_numpy(
-            zero_copy_only=False).astype(np.float64)
-        langs, codes = np.unique(lang, return_inverse=True)
-        order = np.lexsort((x, codes))
-        c1 = codes[order]
-        first = np.empty(len(c1), dtype=bool)
-        first[0] = True
-        np.not_equal(c1[1:], c1[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(c1))
-        med = _seg_median(x[order], starts, ends)
-        dev = np.abs(x - med[codes])
-        order2 = np.lexsort((dev, codes))
-        mad = _seg_median(dev[order2], starts, ends)
-        out = dev > 3.0 * mad[codes]
+    def fold(b, starts):
+        x = np_col(b, "n_chars").astype(np.float64)
+        seg = segment_ids(starts, len(x))
+        ends = segment_ends(starts, len(x))
+        med = _seg_median(x, starts, ends)
+        dev = np.abs(x - med[seg])
+        mad = _seg_median(dev[np.lexsort((dev, seg))], starts, ends)
+        out = dev > 3.0 * mad[seg]
         return pa.table({
-            "lang": pa.array(langs),
+            "lang": b.column("lang").take(starts),
             "median_nchars": pa.array(med),
             "mad_nchars": pa.array(mad),
             "n_outliers": pa.array(np.bincount(
-                codes[out], minlength=len(langs)).astype(np.int64)),
+                seg[out], minlength=len(starts)).astype(np.int64)),
             "n_docs": pa.array((ends - starts).astype(np.int64)),
         })
 
-    return (ds.repartition(4, keys=["lang"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds, ["lang"], fold, 4, ("n_chars",))
 
 
 def _q_events_profile(sf_dir: str):
@@ -5988,10 +5297,8 @@ def _q_tool_chains(sf_dir: str):
     — the edge list of the tool-usage graph. Conv-key shuffle +
     in-block adjacent-pair fold; the chain vocabulary is tool²-bounded
     so partials finish on the driver."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
     from apache_datasketches_go_ray.stages.context import gather_table
 
     ds = ray.data.read_parquet(_transcripts_dir(sf_dir),
@@ -6000,20 +5307,11 @@ def _q_tool_chains(sf_dir: str):
     _empty = pa.table({"chain": pa.array([], type=pa.string()),
                        "n": pa.array([], type=pa.int64())})
 
-    def partial(b):
-        b = b.filter(pc.not_equal(b.column("tool"), ""))
-        if len(b) < 2:
-            return _empty
-        conv = as_array(b.column("conv_id")).to_numpy(
-            zero_copy_only=False)
-        tidx = as_array(b.column("turn_idx")).to_numpy(
-            zero_copy_only=False)
-        tool = as_array(b.column("tool"))
-        tools, rcodes = np.unique(
-            tool.to_numpy(zero_copy_only=False), return_inverse=True)
-        _, ccodes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, ccodes))
-        c, r = ccodes[order], rcodes[order]
+    def partial(b, starts):
+        keep = pc.fill_null(pc.not_equal(b.column("tool"), ""), False) \
+            .to_numpy(zero_copy_only=False)
+        c = segment_ids(starts, len(b))[keep]
+        tools, r = np.unique(np_col(b, "tool")[keep], return_inverse=True)
         same = c[1:] == c[:-1]
         a, bnext = r[:-1][same], r[1:][same]
         if len(a) == 0:
@@ -6029,9 +5327,7 @@ def _q_tool_chains(sf_dir: str):
 
     # conv-key shuffle so every conversation's turn sequence is whole
     # in one block; the per-block chain counts are tool²-bounded
-    part = (ds.repartition(16, keys=["conv_id"])
-            .map_batches(partial, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    part = keyed_fold(ds, ["conv_id"], partial, 16, ("turn_idx",))
     tbl = gather_table(part, schema=_empty.schema)
     g = tbl.group_by("chain").aggregate([("n", "sum")])
     return pa.table({"chain": g.column("chain").cast(pa.string()),
@@ -7068,12 +6364,7 @@ def _q_large_volume_customers(sf_dir: str):
             "qc": g.column("qc_sum").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "l_orderkey": pa.array([], type=pa.int64()),
-                "total_qty_c": pa.array([], type=pa.int64()),
-            })
+    def fold(b, _):
         g = b.group_by("l_orderkey").aggregate([("qc", "sum")])
         t = pa.table({
             "l_orderkey": g.column("l_orderkey").cast(pa.int64()),
@@ -7082,11 +6373,9 @@ def _q_large_volume_customers(sf_dir: str):
         return t.filter(pc.greater(t.column("total_qty_c"), 21000))
 
     P = auto_partitions(line.count(), 2_000_000, 8)
-    big = (line.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .repartition(P, keys=["l_orderkey"])
-           .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                        zero_copy_batch=True))
+    big = keyed_fold(line.map_batches(partial, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                     ["l_orderkey"], fold, P, None)
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_totalprice",
                     "o_orderdate"]) \
@@ -7321,14 +6610,7 @@ def _q_source_lang_crosstab(sf_dir: str):
             "total_chars": g.column("nc_sum").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "source": pa.array([], type=pa.string()),
-                "lang": pa.array([], type=pa.string()),
-                "n_docs": pa.array([], type=pa.int64()),
-                "total_chars": pa.array([], type=pa.int64()),
-            })
+    def fold(b, _):
         g = b.group_by(["source", "lang"]).aggregate(
             [("n_docs", "sum"), ("total_chars", "sum")])
         return pa.table({
@@ -7338,12 +6620,10 @@ def _q_source_lang_crosstab(sf_dir: str):
             "total_chars": g.column("total_chars_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "documents", ["source", "lang", "n_chars"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["source", "lang"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "documents", ["source", "lang", "n_chars"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["source", "lang"], fold, 4, None)
 
 
 def _q_monthly_revenue_growth(sf_dir: str):
@@ -7399,10 +6679,8 @@ def _q_event_type_transitions(sf_dir: str):
     (type -> next type) transitions in (ts, event_id) order — the
     behavioral-flow graph. User-keyed shuffle + in-block adjacency
     fold (type²-bounded partials, tiny driver-side finish)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
     from apache_datasketches_go_ray.stages.context import auto_partitions
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id",
@@ -7411,21 +6689,9 @@ def _q_event_type_transitions(sf_dir: str):
     _empty = pa.table({"chain": pa.array([], type=pa.string()),
                        "n": pa.array([], type=pa.int64())})
 
-    def partial(b):
-        if len(b) < 2:
-            return _empty
-        u = b.column("user_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        t = b.column("ts").cast(pa.timestamp("us")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        e = b.column("event_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        types, rcodes = np.unique(
-            as_array(b.column("event_type"))
-            .to_numpy(zero_copy_only=False), return_inverse=True)
-        order = np.lexsort((e, t, u))
-        us, r = u[order], rcodes[order]
-        same = us[1:] == us[:-1]
+    def partial(b, starts):
+        types, r = np.unique(np_col(b, "event_type"), return_inverse=True)
+        same = next_in_segment(starts, len(r))
         a, nxt = r[:-1][same], r[1:][same]
         if len(a) == 0:
             return _empty
@@ -7448,9 +6714,7 @@ def _q_event_type_transitions(sf_dir: str):
         })
 
     P = auto_partitions(ds.count(), 2_000_000, 8)
-    return (ds.repartition(P, keys=["user_id"])
-            .map_batches(partial, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    return (keyed_fold(ds, ["user_id"], partial, P, ("ts", "event_id"))
             .repartition(1)
             .map_batches(fold, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
@@ -7462,7 +6726,6 @@ def _q_event_type_lift(sf_dir: str):
     co-occur beyond chance. Distributed: cooccurrence pair counts +
     per-type distinct-user marginals; only the type²-bounded finals
     reach the driver."""
-    import pyarrow as pa
     import ray.data
 
     from apache_datasketches_go_ray.stages.context import gather_table
@@ -7486,11 +6749,10 @@ def _q_event_type_lift(sf_dir: str):
             "user_id": b.column("user_id").cast(pa.int64()),
         }).group_by("user_id").aggregate([])
 
-    users = gather_table(
-        ev.map_batches(du, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(4, keys=["user_id"])
-        .map_batches(du, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True))
+    users = gather_table(keyed_fold(
+        ev.map_batches(du, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id"], lambda b, _: du(b), 4, None))
+
     N = users.num_rows
     a = pairs.column("item_a").to_pylist()
     b_ = pairs.column("item_b").to_pylist()
@@ -7676,14 +6938,7 @@ def _q_conv_role_char_ratio(sf_dir: str):
             "nc": g.column("nc_sum").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "conv_id": pa.array([], type=pa.string()),
-                "user_chars": pa.array([], type=pa.int64()),
-                "assistant_chars": pa.array([], type=pa.int64()),
-                "ratio_bp": pa.array([], type=pa.int64()),
-            })
+    def fold(b, _):
         g = b.group_by(["conv_id", "role"]).aggregate([("nc", "sum")])
         conv = g.column("conv_id").to_numpy(zero_copy_only=False)
         role = g.column("role").to_numpy(zero_copy_only=False)
@@ -7705,11 +6960,9 @@ def _q_conv_role_char_ratio(sf_dir: str):
     from apache_datasketches_go_ray.stages.context import auto_partitions
 
     P = auto_partitions(ds.count(), 1_000_000, 8)
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(P, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.map_batches(partial, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                      ["conv_id"], fold, P, None)
 
 
 def _q_nchars_histogram_by_source(sf_dir: str):
@@ -7736,14 +6989,7 @@ def _q_nchars_histogram_by_source(sf_dir: str):
             "sum_chars": g.column("n_chars_sum").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "source": pa.array([], type=pa.string()),
-                "bucket": pa.array([], type=pa.int64()),
-                "n": pa.array([], type=pa.int64()),
-                "sum_chars": pa.array([], type=pa.int64()),
-            })
+    def fold(b, _):
         g = b.group_by(["source", "bucket"]).aggregate(
             [("n", "sum"), ("sum_chars", "sum")])
         return pa.table({
@@ -7753,12 +6999,10 @@ def _q_nchars_histogram_by_source(sf_dir: str):
             "sum_chars": g.column("sum_chars_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "documents", ["source", "n_chars"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(4, keys=["source", "bucket"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "documents", ["source", "n_chars"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      ["source", "bucket"], fold, 4, None)
 
 
 def _q_tool_cooccurrence(sf_dir: str):
@@ -7869,14 +7113,7 @@ def _q_order_fulfillment_span(sf_dir: str):
             "c": g.column("count_all").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "l_orderkey": pa.array([], type=pa.int64()),
-                "n_lines": pa.array([], type=pa.int64()),
-                "first_ship": pa.array([], type=pa.timestamp("us")),
-                "last_ship": pa.array([], type=pa.timestamp("us")),
-            })
+    def fold(b, _):
         g = b.group_by("l_orderkey").aggregate(
             [("mn", "min"), ("mx", "max"), ("c", "sum")])
         return pa.table({
@@ -7887,11 +7124,9 @@ def _q_order_fulfillment_span(sf_dir: str):
         })
 
     P = auto_partitions(line.count(), 2_000_000, 8)
-    agg = (line.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .repartition(P, keys=["l_orderkey"])
-           .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                        zero_copy_batch=True))
+    agg = keyed_fold(line.map_batches(partial, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                     ["l_orderkey"], fold, P, None)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]) \
         .map_batches(lambda b: pa.table({
             "o_orderkey": b.column("o_orderkey").cast(pa.int64()),
@@ -7995,7 +7230,6 @@ def _q_user_gap_quantiles(sf_dir: str):
     profile): one user-keyed shuffle computes ordered gaps in-block
     (lexsort + diff), a second serves all three discrete quantiles from
     one lexsort (grouped_quantile_disc)."""
-    import pyarrow as pa
 
     from apache_datasketches_go_ray.stages.context import auto_partitions
     from apache_datasketches_go_ray.stages.relational import (
@@ -8004,31 +7238,16 @@ def _q_user_gap_quantiles(sf_dir: str):
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
 
-    def gaps(b):
-        if len(b) == 0:
-            return pa.table({
-                "user_id": pa.array([], type=pa.int64()),
-                "gap_us": pa.array([], type=pa.int64()),
-            })
-        u = b.column("user_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        t = b.column("ts").cast(pa.timestamp("us")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        e = b.column("event_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, t, u))
-        us, tss = u[order], t[order]
-        same = us[1:] == us[:-1]
-        gap = (tss[1:] - tss[:-1])[same]
+    def gaps(b, starts):
+        t = np_col(b, "ts").astype(np.int64)
+        same = next_in_segment(starts, len(t))
         return pa.table({
-            "user_id": pa.array(us[1:][same]),
-            "gap_us": pa.array(gap.astype(np.int64)),
+            "user_id": pa.array(np_col(b, "user_id")[1:][same]),
+            "gap_us": pa.array((t[1:] - t[:-1])[same]),
         })
 
     P = auto_partitions(ev.count(), 2_000_000, 8)
-    g = (ev.repartition(P, keys=["user_id"])
-         .map_batches(gaps, batch_format="pyarrow", batch_size=None,
-                      zero_copy_batch=True))
+    g = keyed_fold(ev, ["user_id"], gaps, P, ("ts", "event_id"))
     return grouped_quantile_disc(g, "user_id", "gap_us",
                                  (0.25, 0.5, 0.75), num_partitions=8)
 
@@ -8201,8 +7420,6 @@ def _q_kmeans_clusters(sf_dir: str):
     return assign
 
 
-
-
 def _q_events_cohort_retention(sf_dir: str):
     """Weekly cohort retention: cohort = ISO week of a user's first
     event; n_users = distinct users from that cohort active in week
@@ -8210,7 +7427,6 @@ def _q_events_cohort_retention(sf_dir: str):
     hash to the user's partition (so each user's history folds in one
     block, no global sort), then tiny (cohort, delta) count partials
     fold on a second shuffle. Exact integers throughout."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     DAY_US = np.int64(86_400_000_000)
@@ -8218,10 +7434,6 @@ def _q_events_cohort_retention(sf_dir: str):
     _empty_pairs = pa.table({
         "user_id": pa.array([], type=pa.int64()),
         "wk_day": pa.array([], type=pa.int64())})
-    _empty_counts = pa.table({
-        "cw_day": pa.array([], type=pa.int64()),
-        "weeks_since": pa.array([], type=pa.int64()),
-        "n": pa.array([], type=pa.int64())})
 
     def partial(b):
         if len(b) == 0:
@@ -8233,24 +7445,14 @@ def _q_events_cohort_retention(sf_dir: str):
                       "wk_day": days})
         return t.group_by(["user_id", "wk_day"]).aggregate([])
 
-    def fold(b):
-        if len(b) == 0:
-            return _empty_counts
+    def fold(b, starts):
         # re-distinct across the blocks that hashed here, then per-user
         # cohort (min week) + deltas — users are co-located, so block-
         # local results are globally exact.
-        t = b.group_by(["user_id", "wk_day"]).aggregate([])
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        w = t.column("wk_day").to_numpy(zero_copy_only=False)
-        order = np.lexsort((w, u))
-        us, ws = u[order], w[order]
-        new_u = np.empty(len(us), dtype=bool)
-        new_u[0] = True
-        np.not_equal(us[1:], us[:-1], out=new_u[1:])
-        starts = np.flatnonzero(new_u)
-        counts = np.diff(np.append(starts, len(us)))
-        cohort = np.repeat(ws[starts], counts)
-        delta = (ws - cohort) // 7
+        ws = np_col(b, "wk_day")
+        keep = run_heads(starts, ws)  # distinct (user, week)
+        cohort = ws[starts][segment_ids(starts, len(ws))][keep]
+        delta = (ws[keep] - cohort) // 7
         g = pa.table({"cw_day": pa.array(cohort, type=pa.int64()),
                       "weeks_since": pa.array(delta, type=pa.int64())}) \
             .group_by(["cw_day", "weeks_since"]).aggregate([([], "count_all")])
@@ -8258,12 +7460,7 @@ def _q_events_cohort_retention(sf_dir: str):
                          "weeks_since": g.column("weeks_since"),
                          "n": g.column("count_all").cast(pa.int64())})
 
-    def finish(b):
-        if len(b) == 0:
-            return pa.table({
-                "cohort_week": pa.array([], type=pa.string()),
-                "weeks_since": pa.array([], type=pa.int64()),
-                "n_users": pa.array([], type=pa.int64())})
+    def finish(b, _):
         g = b.group_by(["cw_day", "weeks_since"]).aggregate([("n", "sum")])
         ts = pc.multiply(g.column("cw_day"), pa.scalar(DAY_US)) \
             .cast(pa.timestamp("us"))
@@ -8272,15 +7469,12 @@ def _q_events_cohort_retention(sf_dir: str):
             "weeks_since": g.column("weeks_since"),
             "n_users": g.column("n_sum").cast(pa.int64())})
 
-    return (_read(sf_dir, "events", ["user_id", "ts"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(16, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(2, keys=["cw_day"])
-            .map_batches(finish, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    cohorts = keyed_fold(_read(sf_dir, "events", ["user_id", "ts"])
+                         .map_batches(partial, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                         ["user_id"], fold, 16,
+                         ("wk_day",))
+    return keyed_fold(cohorts, ["cw_day"], finish, 2, None)
 
 
 def _q_brand_size_suppliers(sf_dir: str):
@@ -8313,12 +7507,7 @@ def _q_brand_size_suppliers(sf_dir: str):
                          zero_copy_batch=True))
     joined = hash_join(li, part, on=("l_partkey", "p_partkey"))
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "p_brand": pa.array([], type=pa.string()),
-                "p_size": pa.array([], type=pa.int64()),
-                "n_supp": pa.array([], type=pa.int64())})
+    def fold(b, _):
         t = b.select(["p_brand", "p_size", "l_suppkey"]) \
             .group_by(["p_brand", "p_size", "l_suppkey"]).aggregate([])
         g = t.group_by(["p_brand", "p_size"]).aggregate([([], "count_all")])
@@ -8326,23 +7515,14 @@ def _q_brand_size_suppliers(sf_dir: str):
                          "p_size": g.column("p_size"),
                          "n_supp": g.column("count_all").cast(pa.int64())})
 
-    def final(b):
-        if len(b) == 0:
-            return pa.table({
-                "p_brand": pa.array([], type=pa.string()),
-                "p_size": pa.array([], type=pa.int64()),
-                "n_supp": pa.array([], type=pa.int64())})
+    def final(b, _):
         g = b.group_by(["p_brand", "p_size"]).aggregate([("n_supp", "sum")])
         return pa.table({"p_brand": g.column("p_brand"),
                          "p_size": g.column("p_size"),
                          "n_supp": g.column("n_supp_sum").cast(pa.int64())})
 
-    return (joined.repartition(8, keys=["l_suppkey"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(4, keys=["p_brand"])
-            .map_batches(final, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    per_supp = keyed_fold(joined, ["l_suppkey"], fold, 8, None)
+    return keyed_fold(per_supp, ["p_brand"], final, 4, None)
 
 
 def _q_part_band_revenue(sf_dir: str):
@@ -8432,7 +7612,6 @@ def _q_customers_above_global_avg(sf_dir: str):
     computed driver-side from KB partials; the anti-join is a keyed
     tag-union shuffle presence fold (never a driver loop)."""
     import datetime
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     CUTOFF = pa.scalar(datetime.datetime(2001, 1, 1), type=pa.timestamp("us"))
@@ -8488,17 +7667,12 @@ def _q_customers_above_global_avg(sf_dir: str):
                            zero_copy_batch=True))
     tagged = (cust_c.map_batches(cust_tag, batch_format="pyarrow",
                                  zero_copy_batch=True)
-              .union(orders)
-              .repartition(8, keys=["c_custkey"]))
+              .union(orders))
 
     sum_pos_s = pa.scalar(int(sum_pos), pa.int64())
     n_pos_s = pa.scalar(int(n_pos), pa.int64())
 
-    def anti_fold(b):
-        if len(b) == 0:
-            return pa.table({"nationkey": pa.array([], type=pa.int64()),
-                             "n_cust": pa.array([], type=pa.int64()),
-                             "bal_cents": pa.array([], type=pa.int64())})
+    def anti_fold(b, _):
         k = b.column("c_custkey").to_numpy(zero_copy_only=False)
         is_o = b.column("is_order").to_numpy(zero_copy_only=False)
         keep_rows = ~is_o & ~np.isin(k, k[is_o])
@@ -8512,11 +7686,7 @@ def _q_customers_above_global_avg(sf_dir: str):
             "n_cust": g.column("bal_c_count").cast(pa.int64()),
             "bal_cents": g.column("bal_c_sum").cast(pa.int64())})
 
-    def final(b):
-        if len(b) == 0:
-            return pa.table({"nationkey": pa.array([], type=pa.int64()),
-                             "n_cust": pa.array([], type=pa.int64()),
-                             "bal_cents": pa.array([], type=pa.int64())})
+    def final(b, _):
         g = b.group_by(["nationkey"]).aggregate(
             [("n_cust", "sum"), ("bal_cents", "sum")])
         return pa.table({
@@ -8524,11 +7694,8 @@ def _q_customers_above_global_avg(sf_dir: str):
             "n_cust": g.column("n_cust_sum").cast(pa.int64()),
             "bal_cents": g.column("bal_cents_sum").cast(pa.int64())})
 
-    return (tagged.map_batches(anti_fold, batch_format="pyarrow",
-                               batch_size=None, zero_copy_batch=True)
-            .repartition(2, keys=["nationkey"])
-            .map_batches(final, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    kept = keyed_fold(tagged, ["c_custkey"], anti_fold, 8, None)
+    return keyed_fold(kept, ["nationkey"], final, 2, None)
 
 
 def _q_ks_drift_nchars(sf_dir: str):
@@ -8596,7 +7763,6 @@ def _q_events_time_funnel(sf_dir: str):
     purchases) turns 'exists A within [ts-1h, ts]' into one vectorized
     comparison per purchase row."""
     import pandas as pd
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     W_US = np.int64(3_600_000_000)
@@ -8605,16 +7771,13 @@ def _q_events_time_funnel(sf_dir: str):
         return b.filter(pc.is_in(b.column("event_type"),
                                  value_set=pa.array(["click", "purchase"])))
 
-    def conv_partial(b):
-        if len(b) == 0:
-            return pa.table({"n_users_a": pa.array([], type=pa.int64()),
-                             "n_converted": pa.array([], type=pa.int64())})
-        u = b.column("user_id").to_numpy(zero_copy_only=False)
-        ts = b.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        isb = pc.equal(b.column("event_type"),
-                       pa.scalar("purchase")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((isb, ts, u))
-        us, tss, isbs = u[order], ts[order], isb[order]
+    def conv_partial(b, starts):
+        # "click" sorts before "purchase": a click at a purchase's ts
+        # counts as before it
+        us = np_col(b, "user_id")
+        tss = np_col(b, "ts").astype(np.int64)
+        isbs = pc.equal(b.column("event_type"),
+                        pa.scalar("purchase")).to_numpy(zero_copy_only=False)
         a_ts = np.where(~isbs, tss, np.int64(-(1 << 62)))
         s = pd.Series(a_ts)
         a_prev = s.groupby(pd.Series(us), sort=False).cummax().to_numpy()
@@ -8634,11 +7797,10 @@ def _q_events_time_funnel(sf_dir: str):
                 [pc.sum(b.column("n_converted")).as_py() or 0],
                 type=pa.int64())})
 
-    return (_read(sf_dir, "events", ["user_id", "ts", "event_type"])
-            .map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(8, keys=["user_id"])
-            .map_batches(conv_partial, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    events = _read(sf_dir, "events", ["user_id", "ts", "event_type"]) \
+        .map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+    return (keyed_fold(events, ["user_id"], conv_partial, 8,
+                       ("ts", "event_type"))
             .repartition(1)
             .map_batches(fold, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
@@ -8650,7 +7812,6 @@ def _q_source_tfidf_terms(sf_dir: str):
     log-free TF-IDF surrogate both engines rank identically. Token-
     keyed shuffle computes tf and df together (token co-located);
     source-keyed shuffle takes the top-5 per source."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     _empty_tf = pa.table({"source": pa.array([], type=pa.large_string()),
@@ -8677,14 +7838,7 @@ def _q_source_tfidf_terms(sf_dir: str):
                          "token": g.column("token"),
                          "tf": g.column("count_all").cast(pa.int64())})
 
-    def score(b):
-        if len(b) == 0:
-            return pa.table({
-                "source": pa.array([], type=pa.large_string()),
-                "token": pa.array([], type=pa.large_string()),
-                "tf": pa.array([], type=pa.int64()),
-                "df": pa.array([], type=pa.int64()),
-                "score_ppm": pa.array([], type=pa.int64())})
+    def score(b, _):
         g = b.group_by(["source", "token"]).aggregate([("tf", "sum")])
         d = g.group_by(["token"]).aggregate([([], "count_all")])
         # token co-located: every (source, token) row for a token is in
@@ -8700,40 +7854,15 @@ def _q_source_tfidf_terms(sf_dir: str):
         return pa.table({"source": g.column("source"), "token": tok,
                          "tf": tf, "df": df, "score_ppm": score})
 
-    def topk(b):
-        if len(b) == 0:
-            return pa.table({
-                "source": pa.array([], type=pa.large_string()),
-                "token": pa.array([], type=pa.large_string()),
-                "tf": pa.array([], type=pa.int64()),
-                "df": pa.array([], type=pa.int64()),
-                "score_ppm": pa.array([], type=pa.int64()),
-                "rk": pa.array([], type=pa.int64())})
-        idx = pc.sort_indices(b, sort_keys=[("source", "ascending"),
-                                            ("score_ppm", "descending"),
-                                            ("token", "ascending")])
-        t = b.take(idx)
-        src = t.column("source").to_numpy(zero_copy_only=False)
-        new_s = np.empty(len(src), dtype=bool)
-        if len(src):
-            new_s[0] = True
-            new_s[1:] = src[1:] != src[:-1]
-        starts = np.flatnonzero(new_s)
-        counts = np.diff(np.append(starts, len(src)))
-        rk = np.arange(len(src), dtype=np.int64) - np.repeat(starts, counts) \
-            + 1
-        t = t.append_column("rk", pa.array(rk, type=pa.int64()))
+    def topk(b, starts):
+        rk = rank_in_segment(starts, len(b)) + 1
+        t = b.append_column("rk", pa.array(rk, type=pa.int64()))
         return t.filter(pa.array(rk <= 5))
 
-    return (_read(sf_dir, "documents", ["source", "text"])
-            .map_batches(explode, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(16, keys=["token"])
-            .map_batches(score, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(8, keys=["source"])
-            .map_batches(topk, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    docs = _read(sf_dir, "documents", ["source", "text"]).map_batches(
+        explode, batch_format="pyarrow", zero_copy_batch=True)
+    scores = keyed_fold(docs, ["token"], score, 16, None)
+    return keyed_fold(scores, ["source"], topk, 8, ("-score_ppm", "token"))
 
 
 def _q_dedup_cluster_survivors(sf_dir: str):
@@ -8791,7 +7920,6 @@ def _q_bpe_encode_counts(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     merges = bpe_learn_merges(docs, n_merges=40, vocab_size=20000)
     return bpe_encode_stats(docs, merges)
-
 
 
 def _q_transcript_decontaminate(sf_dir: str):
@@ -9167,7 +8295,6 @@ def _q_preference_pairs(sf_dir: str):
     (ties to lexicographically greatest), rejected = the shortest (ties
     to least). Stage 1 is the sft adjacency fold inside each conv-keyed
     block; stage 2 shuffles by prompt so each group folds locally."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
     from apache_datasketches_go_ray.stages.arrow_util import as_array
@@ -9176,44 +8303,13 @@ def _q_preference_pairs(sf_dir: str):
                                columns=["conv_id", "turn_idx", "role",
                                         "text"])
 
-    def pair_fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "prompt": pa.array([], type=pa.large_string()),
-                "response": pa.array([], type=pa.large_string()),
-            })
-        conv = as_array(b.column("conv_id")) \
-            .to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        _, ccodes = np.unique(conv, return_inverse=True)
-        order = np.lexsort((tidx, ccodes))
-        role = as_array(b.column("role")).take(
-            pa.array(order, type=pa.int64()))
-        is_user = pc.equal(role, "user").to_numpy(zero_copy_only=False)
-        is_asst = pc.equal(role, "assistant") \
-            .to_numpy(zero_copy_only=False)
-        c = ccodes[order]
-        same_conv = np.concatenate([c[1:] == c[:-1], [False]])
-        nxt_asst = np.concatenate([is_asst[1:], [False]])
-        take = np.flatnonzero(is_user & same_conv & nxt_asst)
-        text = as_array(b.column("text")).cast(pa.large_string())
-        o = np.asarray(order)
-        return pa.table({
-            "prompt": text.take(pa.array(o[take], type=pa.int64())),
-            "response": text.take(pa.array(o[take + 1],
-                                           type=pa.int64())),
-        })
+    def pair_fold(b, starts):
+        take = pa.array(_user_reply_rows(b, starts), type=pa.int64())
+        text = b.column("text").cast(pa.large_string()).combine_chunks()
+        return pa.table({"prompt": text.take(take),
+                         "response": text.take(pc.add(take, 1))})
 
-    _empty = pa.table({
-        "prompt": pa.array([], type=pa.large_string()),
-        "n_candidates": pa.array([], type=pa.int64()),
-        "chosen": pa.array([], type=pa.large_string()),
-        "rejected": pa.array([], type=pa.large_string()),
-    })
-
-    def group_fold(b):
-        if len(b) == 0:
-            return _empty
+    def group_fold(b, _):
         # distinct (prompt, response) then rank responses per prompt by
         # (len, response) — all vectorized over dictionary codes
         p = as_array(b.column("prompt"))
@@ -9244,12 +8340,8 @@ def _q_preference_pairs(sf_dir: str):
             "rejected": pa.array(rejected, type=pa.large_string()),
         })
 
-    pairs = (ds.repartition(16, keys=["conv_id"])
-             .map_batches(pair_fold, batch_format="pyarrow",
-                          batch_size=None, zero_copy_batch=True))
-    return (pairs.repartition(16, keys=["prompt"])
-            .map_batches(group_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    pairs = keyed_fold(ds, ["conv_id"], pair_fold, 16, ("turn_idx",))
+    return keyed_fold(pairs, ["prompt"], group_fold, 16, None)
 
 
 def _q_user_state_scd2(sf_dir: str):
@@ -9258,62 +8350,34 @@ def _q_user_state_scd2(sf_dir: str):
     versioned validity intervals (valid_from, valid_to; -1 = open).
     One user-keyed shuffle + in-block lexsort + run-boundary masks —
     the standard change-data-capture compaction, fully vectorized."""
-    import pyarrow as pa
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
 
-    _empty = pa.table({
-        "user_id": pa.array([], type=pa.int64()),
-        "version": pa.array([], type=pa.int64()),
-        "event_type": pa.array([], type=pa.string()),
-        "valid_from_us": pa.array([], type=pa.int64()),
-        "valid_to_us": pa.array([], type=pa.int64()),
-    })
-
-    def fold(b):
-        if len(b) == 0:
-            return _empty
-        uid = b.column("user_id").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        ts = b.column("ts").cast(pa.timestamp("us")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        eid = b.column("event_id").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        et = as_array(b.column("event_type"))
-        d = et.dictionary_encode()
-        codes = np.asarray(d.indices.to_numpy(zero_copy_only=False),
-                           dtype=np.int64)
-        order = np.lexsort((eid, ts, uid))
-        u, t, c = uid[order], ts[order], codes[order]
-        new_user = np.concatenate([[True], u[1:] != u[:-1]])
-        start = new_user | np.concatenate([[True], c[1:] != c[:-1]])
+    def fold(b, starts):
+        t = np_col(b, "ts").astype(np.int64)
+        et = np_col(b, "event_type")
+        start = np.zeros(len(t), dtype=bool)  # first row of a state run
+        start[starts] = True
+        new_user = start.copy()
+        start[1:] |= et[1:] != et[:-1]
         s_idx = np.flatnonzero(start)
+        run_new_user = new_user[s_idx]
         # version = run ordinal within its user
-        run_user = u[s_idx]
-        run_new_user = np.concatenate([[True],
-                                       run_user[1:] != run_user[:-1]])
-        grp_start = np.zeros(len(s_idx), dtype=np.int64)
-        grp_start[run_new_user] = np.arange(len(s_idx))[run_new_user]
-        np.maximum.accumulate(grp_start, out=grp_start)
-        version = np.arange(len(s_idx)) - grp_start + 1
+        version = rank_in_segment(np.flatnonzero(run_new_user),
+                                  len(s_idx)) + 1
         valid_from = t[s_idx]
         nxt_from = np.concatenate([valid_from[1:], [np.int64(-1)]])
         valid_to = np.where(np.concatenate([run_new_user[1:], [True]]),
                             np.int64(-1), nxt_from)
-        et_vals = d.dictionary.cast(pa.string()).take(
-            pa.array(c[s_idx], type=pa.int64()))
         return pa.table({
-            "user_id": pa.array(run_user),
+            "user_id": b.column("user_id").take(s_idx),
             "version": pa.array(version),
-            "event_type": et_vals,
+            "event_type": b.column("event_type").take(s_idx),
             "valid_from_us": pa.array(valid_from),
             "valid_to_us": pa.array(valid_to),
         })
 
-    return (_read(sf_dir, "events",
-                  ["user_id", "ts", "event_id", "event_type"])
-            .repartition(16, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]),
+        ["user_id"], fold, 16, ("ts", "event_id"))
 
 
 def _q_order_skyline(sf_dir: str):
@@ -9383,32 +8447,18 @@ def _q_user_active_time(sf_dir: str):
     in-block kernel (lexsort + grouped running max) — the classic
     'total active time from overlapping sessions' operator."""
     import pandas as pd
-    import pyarrow as pa
 
     SPAN_US = 600_000_000  # 10 min
 
-    _empty = pa.table({
-        "user_id": pa.array([], type=pa.int64()),
-        "n_islands": pa.array([], type=pa.int64()),
-        "active_us": pa.array([], type=pa.int64()),
-    })
-
-    def fold(b):
-        if len(b) == 0:
-            return _empty
-        u = b.column("user_id").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        s = b.column("ts").cast(pa.timestamp("us")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
+    def fold(b, starts):
+        s = np_col(b, "ts").astype(np.int64)
         e = s + SPAN_US
-        order = np.lexsort((e, s, u))
-        u, s, e = u[order], s[order], e[order]
+        u = segment_ids(starts, len(s))
         df = pd.DataFrame({"u": u, "e": e})
         cme = df.groupby("u", sort=False)["e"].cummax()
         pmax = cme.groupby(df["u"], sort=False).shift(1).to_numpy()
         start = np.isnan(pmax) | (s > np.nan_to_num(pmax,
                                                     nan=-np.inf))
-        island = np.cumsum(start) - 1
         # per-island bounds: first row is the island's min s (sorted),
         # island end is the max e = cummax at the island's last row
         isl_start_s = s[start]
@@ -9416,20 +8466,17 @@ def _q_user_active_time(sf_dir: str):
         isl_end_e = cme.to_numpy()[last_of_island]
         isl_user = u[start]
         cover = isl_end_e - isl_start_s
-        uu, inv = np.unique(isl_user, return_inverse=True)
-        tot = np.zeros(len(uu), dtype=np.int64)
-        np.add.at(tot, inv, cover.astype(np.int64))
-        cnt = np.bincount(inv, minlength=len(uu)).astype(np.int64)
+        tot = np.zeros(len(starts), dtype=np.int64)
+        np.add.at(tot, isl_user, cover.astype(np.int64))
+        cnt = np.bincount(isl_user, minlength=len(starts)).astype(np.int64)
         return pa.table({
-            "user_id": pa.array(uu),
+            "user_id": b.column("user_id").take(starts),
             "n_islands": pa.array(cnt),
             "active_us": pa.array(tot),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "ts"])
-            .repartition(16, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "events", ["user_id", "ts"]),
+                      ["user_id"], fold, 16, ("ts",))
 
 
 def _q_lang_length_gini(sf_dir: str):
@@ -9440,49 +8487,26 @@ def _q_lang_length_gini(sf_dir: str):
     double division. One lang-keyed shuffle + in-block sort; the rank
     weights make this a genuinely order-dependent grouped statistic
     (unlike sums/moments) yet it still folds per group locally."""
-    import pyarrow as pa
 
-    _empty = pa.table({
-        "lang": pa.array([], type=pa.string()),
-        "n_docs": pa.array([], type=pa.int64()),
-        "gini_ppm": pa.array([], type=pa.int64()),
-    })
-
-    def fold(b):
-        if len(b) == 0:
-            return _empty
-        lang = b.column("lang").to_pylist()
-        x = b.column("n_chars").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        uk, inv = np.unique(np.asarray(lang), return_inverse=True)
-        order = np.lexsort((x, inv))
-        xi, gi = x[order], inv[order]
+    def fold(b, starts):
+        xi = np_col(b, "n_chars").astype(np.int64)
         # per-group 1-based rank of the sorted values
-        first = np.concatenate([[True], gi[1:] != gi[:-1]])
-        idx = np.arange(len(gi), dtype=np.int64)
-        gstart = np.zeros(len(gi), dtype=np.int64)
-        gstart[first] = idx[first]
-        np.maximum.accumulate(gstart, out=gstart)
-        rank = idx - gstart + 1
-        n = np.bincount(gi, minlength=len(uk)).astype(np.int64)
-        sx = np.zeros(len(uk), dtype=np.int64)
-        np.add.at(sx, gi, xi)
-        srx = np.zeros(len(uk), dtype=np.int64)
-        np.add.at(srx, gi, rank * xi)
+        rank = rank_in_segment(starts, len(xi)) + 1
+        n = segment_ends(starts, len(xi)) - starts
+        sx = np.add.reduceat(xi, starts)
+        srx = np.add.reduceat(rank * xi, starts)
         num = 2 * srx - (n + 1) * sx
         den = n * sx
         ppm = np.floor(num.astype(np.float64) * 1_000_000.0
                        / den.astype(np.float64) + 0.5).astype(np.int64)
         return pa.table({
-            "lang": pa.array([str(k) for k in uk], type=pa.string()),
+            "lang": b.column("lang").take(starts),
             "n_docs": pa.array(n),
             "gini_ppm": pa.array(ppm),
         })
 
-    return (_read(sf_dir, "documents", ["lang", "n_chars"])
-            .repartition(8, keys=["lang"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(_read(sf_dir, "documents", ["lang", "n_chars"]),
+                      ["lang"], fold, 8, ("n_chars",))
 
 
 def _q_totalprice_first_digit(sf_dir: str):
@@ -9620,13 +8644,7 @@ def _q_source_simpson_diversity(sf_dir: str):
             "cnt": g.column("count_all").cast(pa.int64()),
         })
 
-    def token_fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "source": pa.array([], type=pa.string()),
-                "sq": pa.array([], type=pa.int64()),
-                "n": pa.array([], type=pa.int64()),
-            })
+    def token_fold(b, _):
         g = b.group_by(["source", "token"]).aggregate([("cnt", "sum")])
         c = g.column("cnt_sum").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -9664,12 +8682,10 @@ def _q_source_simpson_diversity(sf_dir: str):
             "simpson_ppm": pa.array(ppm),
         })
 
-    return (_read(sf_dir, "documents", ["source", "text"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(16, keys=["source", "token"])
-            .map_batches(token_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    return (keyed_fold(_read(sf_dir, "documents", ["source", "text"])
+                       .map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["source", "token"], token_fold, 16, None)
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
@@ -9718,15 +8734,7 @@ def _q_part_min_cost_supplier(sf_dir: str):
         # in-block distinct kills the fan-in before the shuffle
         return t.group_by(["p_partkey", "s_suppkey"]).aggregate([])
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "p_partkey": pa.array([], type=pa.int64()),
-                "p_name": pa.array([], type=pa.string()),
-                "s_suppkey": pa.array([], type=pa.int64()),
-                "s_name": pa.array([], type=pa.string()),
-                "acctbal_cents": pa.array([], type=pa.int64()),
-            })
+    def fold(b, _):
         t = b.group_by(["p_partkey", "s_suppkey"]).aggregate([])
         pk = t.column("p_partkey").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -9751,11 +8759,9 @@ def _q_part_min_cost_supplier(sf_dir: str):
 
     line = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
     P = auto_partitions(len(pnames), 10_000, 16)
-    return (line.map_batches(pairs, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .repartition(P, keys=["p_partkey"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(line.map_batches(pairs, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                       ["p_partkey"], fold, P, None)
             .sort("p_partkey"))
 
 
@@ -10066,7 +9072,6 @@ def _q_late_sole_suppliers(sf_dir: str):
     that supplier one wait. Orderkey-keyed shuffle co-locates each
     order's lines; the per-block fold is pure vectorized numpy
     (lexsort + run boundaries); supplier names broadcast at the end."""
-    import pyarrow as pa
 
     from apache_datasketches_go_ray.stages.context import (auto_partitions,
                                                            gather_table)
@@ -10083,20 +9088,12 @@ def _q_late_sole_suppliers(sf_dir: str):
             "ship_us": b.column("l_shipdate").cast(pa.int64()),
         })
 
-    def per_order(b):
-        if len(b) == 0:
-            return pa.table({"s_suppkey": pa.array([], type=pa.int64()),
-                             "waits": pa.array([], type=pa.int64())})
-        ok = b.column("l_orderkey").to_numpy(zero_copy_only=False)
-        sk = b.column("l_suppkey").to_numpy(zero_copy_only=False)
-        ts = b.column("ship_us").to_numpy(zero_copy_only=False)
-        order = np.lexsort((sk, ts, ok))
-        ok, sk, ts = ok[order], sk[order], ts[order]
-        n = len(ok)
-        start = np.ones(n, dtype=bool)
-        start[1:] = ok[1:] != ok[:-1]
-        starts = np.flatnonzero(start)
-        ends = np.append(starts[1:], n)
+    def per_order(b, starts):
+        sk = np_col(b, "l_suppkey")
+        ts = np_col(b, "ship_us")
+        n = len(sk)
+        ok = segment_ids(starts, n)  # block-local order codes
+        ends = segment_ends(starts, n)
         # per order: max ts (last row of the sorted run), distinct
         # suppliers overall, distinct suppliers at the max ts
         mx = ts[ends - 1]
@@ -10153,9 +9150,9 @@ def _q_late_sole_suppliers(sf_dir: str):
         .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
     n_rows = line.count()
     P = auto_partitions(n_rows, 200_000, 32)
-    return (line.repartition(P, keys=["l_orderkey"])
-            .map_batches(per_order, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    return (keyed_fold(line,
+                       ["l_orderkey"], per_order, P,
+                       ("ship_us", "l_suppkey"))
             .repartition(1)
             .map_batches(fold, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True)
@@ -10357,10 +9354,7 @@ def _q_join_key_multiplicity(sf_dir: str):
             "c": g.column("one_sum").cast(pa.int64()),
         })
 
-    def key_fold(b):
-        if len(b) == 0:
-            return pa.table({"m": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64())})
+    def key_fold(b, _):
         g = b.group_by(["k"]).aggregate([("c", "sum")])
         m = g.column("c_sum").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -10380,12 +9374,10 @@ def _q_join_key_multiplicity(sf_dir: str):
             "n_keys": g.column("n_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "lineitem", ["l_partkey"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(16, keys=["k"])
-            .map_batches(key_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    return (keyed_fold(_read(sf_dir, "lineitem", ["l_partkey"])
+                       .map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["k"], key_fold, 16, None)
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True)
@@ -10587,10 +9579,7 @@ def _q_exact_dup_size_histogram(sf_dir: str):
         return pa.table({"h": g.column("h"),
                          "c": g.column("one_sum").cast(pa.int64())})
 
-    def key_fold(b):
-        if len(b) == 0:
-            return pa.table({"size": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64())})
+    def key_fold(b, _):
         g = b.group_by(["h"]).aggregate([("c", "sum")])
         sz = g.column("c_sum").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -10610,13 +9599,11 @@ def _q_exact_dup_size_histogram(sf_dir: str):
             "n_groups": g.column("n_sum").cast(pa.int64()),
         })
 
-    return (ray.data.read_parquet(_transcripts_dir(sf_dir),
-                                  columns=["text"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(16, keys=["h"])
-            .map_batches(key_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    return (keyed_fold(ray.data.read_parquet(_transcripts_dir(sf_dir),
+                                             columns=["text"])
+                       .map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["h"], key_fold, 16, None)
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True)
@@ -10659,10 +9646,8 @@ def _q_conv_lang_switches(sf_dir: str):
     the langid query pins value-exact), then per conv the number of
     adjacent-turn language changes and distinct languages. One conv
     keyed shuffle; the fold is a lexsort + two run-boundary masks."""
-    import pyarrow as pa
     import ray.data
 
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
     from apache_datasketches_go_ray.stages.textops import langid_batch
 
     def pred(b):
@@ -10673,28 +9658,12 @@ def _q_conv_lang_switches(sf_dir: str):
             "lang_pred": out.column("lang_pred"),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "conv_id": pa.array([], type=pa.string()),
-                "n_turns": pa.array([], type=pa.int64()),
-                "n_langs": pa.array([], type=pa.int64()),
-                "n_switches": pa.array([], type=pa.int64()),
-            })
-        import pyarrow.compute as pc
-
-        conv = as_array(b.column("conv_id"))
-        d = as_array(pc.dictionary_encode(conv))
-        codes = d.indices.to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        lang = np.asarray(as_array(b.column("lang_pred")).to_pylist(),
-                          dtype=object)
-        order = np.lexsort((tidx, codes))
-        c, lg = codes[order], lang[order]
-        n_convs = len(d.dictionary)
-        n_turns = np.bincount(c, minlength=n_convs).astype(np.int64)
-        same = np.zeros(len(c), dtype=bool)
-        same[1:] = c[1:] == c[:-1]
+    def fold(b, starts):
+        lg = np.asarray(b.column("lang_pred").to_pylist(), dtype=object)
+        n, n_convs = len(lg), len(starts)
+        c = segment_ids(starts, n)
+        same = np.zeros(n, dtype=bool)
+        same[1:] = next_in_segment(starts, n)
         switch = same & (lg != np.roll(lg, 1))
         n_sw = np.zeros(n_convs, dtype=np.int64)
         np.add.at(n_sw, c[switch], 1)
@@ -10706,20 +9675,18 @@ def _q_conv_lang_switches(sf_dir: str):
         n_lang = np.zeros(n_convs, dtype=np.int64)
         np.add.at(n_lang, c2[newpair], 1)
         return pa.table({
-            "conv_id": d.dictionary.cast(pa.string()),
-            "n_turns": pa.array(n_turns),
+            "conv_id": b.column("conv_id").take(starts),
+            "n_turns": pa.array(segment_ends(starts, n) - starts),
             "n_langs": pa.array(n_lang),
             "n_switches": pa.array(n_sw),
         })
 
-    return (ray.data.read_parquet(_transcripts_dir(sf_dir),
-                                  columns=["conv_id", "turn_idx", "text"])
-            .map_batches(pred, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(8, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .sort("conv_id"))
+    preds = (ray.data.read_parquet(_transcripts_dir(sf_dir),
+                                   columns=["conv_id", "turn_idx", "text"])
+             .map_batches(pred, batch_format="pyarrow",
+                          zero_copy_batch=True))
+    return keyed_fold(preds, ["conv_id"], fold, 8,
+                      ("turn_idx",)).sort("conv_id")
 
 
 def _q_daily_value_quantiles(sf_dir: str):
@@ -10750,7 +9717,6 @@ def _q_ri_audit(sf_dir: str):
     data-quality gate every warehouse load runs): lineitems whose
     orderkey has no order, and orders with no lineitems. Both directions
     are one tagged-union presence fold — no join materializes."""
-    import pyarrow as pa
 
     def tag(b, col, side):
         return pa.table({
@@ -10767,28 +9733,13 @@ def _q_ri_audit(sf_dir: str):
         .map_batches(functools.partial(tag, col="o_orderkey", side=1),
                      batch_format="pyarrow", zero_copy_batch=True)
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "orphan_lineitems": pa.array([], type=pa.int64()),
-                "childless_orders": pa.array([], type=pa.int64()),
-            })
-        k = b.column("k").to_numpy(zero_copy_only=False)
-        s = b.column("side").to_numpy(zero_copy_only=False)
-        order = np.lexsort((s, k))
-        k, s = k[order], s[order]
-        start = np.ones(len(k), dtype=bool)
-        start[1:] = k[1:] != k[:-1]
-        starts = np.flatnonzero(start)
-        ends = np.append(starts[1:], len(k))
+    def fold(b, starts):
+        s = np_col(b, "side")
+        ends = segment_ends(starts, len(s))
         has_line = s[starts] == 0
         has_order = s[ends - 1] == 1
-        orphan_rows = 0
         # orphan lineitem ROWS: keys with lines but no order
-        bad = has_line & ~has_order
-        if bad.any():
-            counts = ends - starts
-            orphan_rows = int(counts[bad].sum())
+        orphan_rows = int((ends - starts)[has_line & ~has_order].sum())
         childless = int((~has_line & has_order).sum())
         return pa.table({
             "orphan_lineitems": pa.array([orphan_rows], type=pa.int64()),
@@ -10810,10 +9761,7 @@ def _q_ri_audit(sf_dir: str):
                     zero_copy_only=False).sum())], type=pa.int64()),
         })
 
-    return (line.union(orders)
-            .repartition(16, keys=["k"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(line.union(orders), ["k"], fold, 16, ("side",))
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
@@ -10899,32 +9847,12 @@ def _q_role_transitions(sf_dir: str):
     dialogue-structure QA table (user→assistant should dominate;
     assistant→assistant flags malformed transcripts). Conv-keyed
     shuffle + in-block adjacency fold; role²-bounded partials."""
-    import pyarrow as pa
     import ray.data
 
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
-
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "role_from": pa.array([], type=pa.string()),
-                "role_to": pa.array([], type=pa.string()),
-                "n": pa.array([], type=pa.int64()),
-            })
-        import pyarrow.compute as pc
-
-        conv = as_array(b.column("conv_id"))
-        d = as_array(pc.dictionary_encode(conv))
-        codes = d.indices.to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        role = np.asarray(as_array(b.column("role")).to_pylist(),
-                          dtype=object)
-        order = np.lexsort((tidx, codes))
-        c, r = codes[order], role[order]
-        same = np.zeros(len(c), dtype=bool)
-        same[1:] = c[1:] == c[:-1]
-        prev = np.flatnonzero(same) - 1
-        cur = np.flatnonzero(same)
+    def fold(b, starts):
+        r = np.asarray(b.column("role").to_pylist(), dtype=object)
+        cur = np.flatnonzero(next_in_segment(starts, len(r))) + 1
+        prev = cur - 1
         t = pa.table({
             "role_from": pa.array(r[prev], type=pa.string()),
             "role_to": pa.array(r[cur], type=pa.string()),
@@ -10952,11 +9880,9 @@ def _q_role_transitions(sf_dir: str):
             "n": g.column("n_sum").cast(pa.int64()),
         })
 
-    return (ray.data.read_parquet(_transcripts_dir(sf_dir),
+    convs = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                   columns=["conv_id", "turn_idx", "role"])
-            .repartition(8, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(convs, ["conv_id"], fold, 8, ("turn_idx",))
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True)
@@ -10971,34 +9897,15 @@ def _q_user_gap_fano(sf_dir: str):
     excluded. One user-keyed shuffle; the per-user moments fold is
     vectorized; the rational is finalized in arbitrary-precision ints
     over the tiny per-user table."""
-    import pyarrow as pa
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "user_id": pa.array([], type=pa.int64()),
-                "n_gaps": pa.array([], type=pa.int64()),
-                "fano_num": pa.array([], type=pa.int64()),
-                "fano_den": pa.array([], type=pa.int64()),
-            })
-        uid = b.column("user_id").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        ts = b.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        eid = b.column("event_id").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        u, t = uid[order], ts[order]
-        same = np.zeros(len(u), dtype=bool)
-        same[1:] = u[1:] == u[:-1]
-        gaps_s = (t - np.roll(t, 1)) // 1_000_000
-        idx = np.flatnonzero(same)
-        gu, g = u[idx], gaps_s[idx]
+    def fold(b, starts):
+        t = np_col(b, "ts").astype(np.int64)
+        same = next_in_segment(starts, len(t))
+        gu = np_col(b, "user_id")[1:][same]
+        g = (np.diff(t) // 1_000_000)[same]  # gap to the previous event
         # per-user moments
         out_u, out_n, out_num, out_den = [], [], [], []
         if len(gu):
-            o2 = np.argsort(gu, kind="stable")
-            gu, g = gu[o2], g[o2]
             new = np.ones(len(gu), dtype=bool)
             new[1:] = gu[1:] != gu[:-1]
             starts = np.flatnonzero(new)
@@ -11022,10 +9929,8 @@ def _q_user_gap_fano(sf_dir: str):
             "fano_den": pa.array(out_den, type=pa.int64()),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "ts", "event_id"])
-            .repartition(16, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(_read(sf_dir, "events", ["user_id", "ts", "event_id"]),
+                       ["user_id"], fold, 16, ("ts", "event_id"))
             .sort("user_id"))
 
 
@@ -11035,29 +9940,14 @@ def _q_reply_length_slope(sf_dir: str):
     rational (N·Σxy − Σx·Σy) / (N·Σx² − (Σx)²) — does a longer prompt
     buy a longer answer? Conv-keyed adjacency fold emits per-block
     moment partials; one tiny final fold."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
 
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
-
-    def partial(b):
-        if len(b) == 0:
-            return pa.table({k: pa.array([], type=pa.int64())
-                             for k in ("n", "sx", "sy", "sxy", "sx2")})
-        conv = as_array(b.column("conv_id"))
-        d = as_array(pc.dictionary_encode(conv))
-        codes = d.indices.to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        role = np.asarray(as_array(b.column("role")).to_pylist(),
-                          dtype=object)
-        ln = pc.utf8_length(as_array(b.column("text")).cast(
-            pa.string())).to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((tidx, codes))
-        c, r, L = codes[order], role[order], ln[order]
-        same = np.zeros(len(c), dtype=bool)
-        same[1:] = c[1:] == c[:-1]
-        cur = np.flatnonzero(same)
+    def partial(b, starts):
+        r = np.asarray(b.column("role").to_pylist(), dtype=object)
+        L = pc.utf8_length(b.column("text").cast(pa.string())) \
+            .to_numpy(zero_copy_only=False).astype(np.int64)
+        cur = np.flatnonzero(next_in_segment(starts, len(r))) + 1
         prev = cur - 1
         m = (r[prev] == "user") & (r[cur] == "assistant")
         x = L[prev][m].astype(object)
@@ -11085,12 +9975,10 @@ def _q_reply_length_slope(sf_dir: str):
             "slope_den": pa.array([den], type=pa.int64()),
         })
 
-    return (ray.data.read_parquet(_transcripts_dir(sf_dir),
-                                  columns=["conv_id", "turn_idx",
-                                           "role", "text"])
-            .repartition(8, keys=["conv_id"])
-            .map_batches(partial, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    return (keyed_fold(ray.data.read_parquet(_transcripts_dir(sf_dir),
+                                             columns=["conv_id", "turn_idx",
+                                                      "role", "text"]),
+                       ["conv_id"], partial, 8, ("turn_idx",))
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
@@ -11101,48 +9989,24 @@ def _q_top_events_with_ties(sf_dir: str):
     QUALIFY-with-ties semantics row_number-based top-n can't express):
     user-keyed shuffle, in-block lexsort, vectorized dense run ranking —
     every row tied with the 2nd-highest value survives."""
-    import pyarrow as pa
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "user_id": pa.array([], type=pa.int64()),
-                "event_id": pa.array([], type=pa.int64()),
-                "value_cents": pa.array([], type=pa.int64()),
-                "rnk": pa.array([], type=pa.int64()),
-            })
-        uid = b.column("user_id").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        eid = b.column("event_id").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        v = b.column("value").to_numpy(zero_copy_only=False)
-        cents = np.floor(v * 100 + 0.5).astype(np.int64)
-        order = np.lexsort((eid, -cents, uid))
-        u, e, c = uid[order], eid[order], cents[order]
-        newu = np.ones(len(u), dtype=bool)
-        newu[1:] = u[1:] != u[:-1]
-        # rank(): 1 + count of STRICTLY greater values in the group =
-        # first-row-of-value-run offset within the group
-        newval = newu | (np.concatenate([[True], c[1:] != c[:-1]]))
-        # rank of each row = position of the first row of its value run
-        first_of_run = np.maximum.accumulate(
-            np.where(newval, np.arange(len(u)), 0))
-        rnk = (first_of_run
-               - np.maximum.accumulate(
-                   np.where(newu, np.arange(len(u)), 0)) + 1)
+    def fold(b, starts):
+        c = np.floor(np_col(b, "value") * 100 + 0.5).astype(np.int64)
+        # rank(): 1 + count of STRICTLY greater values in the group
+        rnk = _sql_rank(starts, c)
         keep = rnk <= 2
         return pa.table({
-            "user_id": pa.array(u[keep]),
-            "event_id": pa.array(e[keep]),
+            "user_id": b.column("user_id").filter(keep),
+            "event_id": b.column("event_id").filter(keep),
             "value_cents": pa.array(c[keep]),
             "rnk": pa.array(rnk[keep].astype(np.int64)),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "event_id", "value"])
-            .repartition(16, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .sort(["user_id", "event_id"]))
+    # cents are monotone in value, so equal cents stay contiguous
+    return keyed_fold(
+        _read(sf_dir, "events", ["user_id", "event_id", "value"]),
+        ["user_id"], fold, 16, ("-value", "event_id"),
+    ).sort(["user_id", "event_id"])
 
 
 def _q_doc_longest_repeat(sf_dir: str):
@@ -11165,104 +10029,56 @@ def _q_session_running_value(sf_dir: str):
     per-user running sum can't express. One user-keyed shuffle;
     in-block: lexsort, gap mask → session ids, segmented cumsum via the
     subtract-offset trick. Exact cents."""
-    import pyarrow as pa
 
     GAP = 30 * 60 * 1_000_000
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "user_id": pa.array([], type=pa.int64()),
-                "event_id": pa.array([], type=pa.int64()),
-                "session_no": pa.array([], type=pa.int64()),
-                "running_cents": pa.array([], type=pa.int64()),
-            })
-        uid = b.column("user_id").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        eid = b.column("event_id").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        ts = b.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        v = b.column("value").to_numpy(zero_copy_only=False)
-        cents = np.floor(v * 100 + 0.5).astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        u, e, t, c = uid[order], eid[order], ts[order], cents[order]
-        newu = np.ones(len(u), dtype=bool)
-        newu[1:] = u[1:] != u[:-1]
-        gap = np.zeros(len(u), dtype=bool)
-        gap[1:] = (t[1:] - t[:-1]) > GAP
-        news = newu | gap
-        # segment machinery via np.repeat over run lengths — correct
-        # for ANY sign of cents (a max-accumulate offset trick would
-        # silently break on refunds/negative values)
+    def fold(b, starts):
+        t = np_col(b, "ts").astype(np.int64)
+        c = np.floor(np_col(b, "value") * 100 + 0.5).astype(np.int64)
+        news = np.zeros(len(t), dtype=bool)
+        news[starts] = True
+        news[1:] |= (t[1:] - t[:-1]) > GAP
+        # segment machinery via segment ids — correct for ANY sign of
+        # cents (a max-accumulate offset trick would silently break on
+        # refunds/negative values)
         seg_starts = np.flatnonzero(news)
-        seg_lens = np.diff(np.append(seg_starts, len(u)))
-        user_starts = np.flatnonzero(newu)
-        user_lens = np.diff(np.append(user_starts, len(u)))
         sno_raw = np.cumsum(news)
-        sno = (sno_raw - np.repeat(sno_raw[user_starts], user_lens)
+        sno = (sno_raw - sno_raw[starts][segment_ids(starts, len(t))]
                + 1).astype(np.int64)
         cs = np.cumsum(c)
-        running = (cs - np.repeat(cs[seg_starts] - c[seg_starts],
-                                  seg_lens)).astype(np.int64)
+        running = (cs - (cs[seg_starts] - c[seg_starts])[
+            segment_ids(seg_starts, len(t))]).astype(np.int64)
         return pa.table({
-            "user_id": pa.array(u),
-            "event_id": pa.array(e),
+            "user_id": b.column("user_id"),
+            "event_id": b.column("event_id"),
             "session_no": pa.array(sno),
             "running_cents": pa.array(running),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "event_id", "ts",
-                                     "value"])
-            .repartition(16, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .sort(["user_id", "event_id"]))
+    return keyed_fold(
+        _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"]),
+        ["user_id"], fold, 16, ("ts", "event_id"),
+    ).sort(["user_id", "event_id"])
 
 
 def _q_truncated_convs(sf_dir: str):
     """Dangling-prompt QA: conversations whose LAST turn is a user
     turn (the assistant never replied — truncated capture, an SFT
     exclusion list). Conv-keyed fold takes the max-turn row per conv."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data
 
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
-
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "conv_id": pa.array([], type=pa.string()),
-                "n_turns": pa.array([], type=pa.int64()),
-            })
-        conv = as_array(b.column("conv_id"))
-        d = as_array(pc.dictionary_encode(conv))
-        codes = d.indices.to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        role = np.asarray(as_array(b.column("role")).to_pylist(),
-                          dtype=object)
-        order = np.lexsort((tidx, codes))
-        c, t, r = codes[order], tidx[order], role[order]
-        last = np.ones(len(c), dtype=bool)
-        last[:-1] = c[1:] != c[:-1]
-        keep = last & (r == "user")
-        n_turns = np.bincount(c, minlength=len(d.dictionary))
-        sel = c[keep]
+    def fold(b, starts):
+        last = segment_ends(starts, len(b)) - 1
+        keep = np_col(b, "role")[last] == "user"
         return pa.table({
-            "conv_id": d.dictionary.take(pa.array(sel)).cast(
-                pa.string()),
-            "n_turns": pa.array(n_turns[sel].astype(np.int64)),
+            "conv_id": b.column("conv_id").take(last[keep]),
+            "n_turns": pa.array((last + 1 - starts)[keep]),
         })
 
-    return (ray.data.read_parquet(_transcripts_dir(sf_dir),
-                                  columns=["conv_id", "turn_idx",
-                                           "role"])
-            .repartition(8, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .sort("conv_id"))
+    convs = ray.data.read_parquet(_transcripts_dir(sf_dir),
+                                  columns=["conv_id", "turn_idx", "role"])
+    return keyed_fold(convs, ["conv_id"], fold, 8,
+                      ("turn_idx",)).sort("conv_id")
 
 
 def _q_blocked_near_dups(sf_dir: str):
@@ -11274,7 +10090,6 @@ def _q_blocked_near_dups(sf_dir: str):
     shuffle; pair volume is bounded by the block-size distribution (at
     corpus scale a block cap + band salting would bound the worst
     block, same discipline as the flagship's LSH buckets)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     from apache_datasketches_go_ray.stages.arrow_util import as_array
@@ -11295,43 +10110,22 @@ def _q_blocked_near_dups(sf_dir: str):
             "toks": toks,
         })
 
-    def pairs(b):
-        if len(b) == 0:
-            return pa.table({
-                "a": pa.array([], type=pa.int64()),
-                "b": pa.array([], type=pa.int64()),
-                "inter": pa.array([], type=pa.int64()),
-                "union_": pa.array([], type=pa.int64()),
-            })
-        lang = np.asarray(as_array(b.column("lang")).to_pylist(),
-                          dtype=object)
-        band = b.column("band").to_numpy(zero_copy_only=False)
-        did = b.column("doc_id").to_numpy(zero_copy_only=False)
-        toks = as_array(b.column("toks")).to_pylist()
-        sets = [frozenset(t) for t in toks]
-        keys = np.asarray([f"{lg}\x00{bd}" for lg, bd in zip(lang, band)],
-                          dtype=object)
+    def pairs(b, starts):
+        did = np_col(b, "doc_id")
+        sets = [frozenset(t) for t in b.column("toks").to_pylist()]
         out_a, out_b, out_i, out_u = [], [], [], []
-        order = np.argsort(keys, kind="stable")
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and keys[order[j + 1]] == \
-                    keys[order[i]]:
-                j += 1
-            members = sorted(order[i:j + 1], key=lambda x: did[x])
-            for x in range(len(members)):
-                sx = sets[members[x]]
-                for y in range(x + 1, len(members)):
-                    sy = sets[members[y]]
+        for s, e in zip(starts, segment_ends(starts, len(did))):
+            for x in range(s, e):
+                sx = sets[x]
+                for y in range(x + 1, e):
+                    sy = sets[y]
                     inter = len(sx & sy)
                     u = len(sx) + len(sy) - inter
                     if 2 * inter >= u:
-                        out_a.append(int(did[members[x]]))
-                        out_b.append(int(did[members[y]]))
+                        out_a.append(int(did[x]))
+                        out_b.append(int(did[y]))
                         out_i.append(inter)
                         out_u.append(u)
-            i = j + 1
         return pa.table({
             "a": pa.array(out_a, type=pa.int64()),
             "b": pa.array(out_b, type=pa.int64()),
@@ -11339,14 +10133,10 @@ def _q_blocked_near_dups(sf_dir: str):
             "union_": pa.array(out_u, type=pa.int64()),
         })
 
-    return (_read(sf_dir, "documents", ["doc_id", "lang", "n_chars",
-                                        "text"])
-            .map_batches(prep, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(16, keys=["lang", "band"])
-            .map_batches(pairs, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .sort(["a", "b"]))
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars", "text"]) \
+        .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_fold(docs, ["lang", "band"], pairs, 16,
+                      ("doc_id",)).sort(["a", "b"])
 
 
 def _q_copurchase_bridges(sf_dir: str):
@@ -11392,26 +10182,12 @@ def _q_second_order_latency(sf_dir: str):
     summarized as exact percentile_disc quartiles. Custkey-keyed fold
     takes each customer's first two orders; the day-diff value table is
     tiny, so the quartiles finalize in one block."""
-    import pyarrow as pa
 
     DAY = 86_400_000_000
 
-    def per_cust(b):
-        if len(b) == 0:
-            return pa.table({"d": pa.array([], type=pa.int64())})
-        ck = b.column("o_custkey").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        ok = b.column("o_orderkey").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        ts = b.column("o_orderdate").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        order = np.lexsort((ok, ts, ck))
-        c, t = ck[order], ts[order]
-        new = np.ones(len(c), dtype=bool)
-        new[1:] = c[1:] != c[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(c))
-        m = ends - starts >= 2
+    def per_cust(b, starts):
+        t = np_col(b, "o_orderdate").astype(np.int64)
+        m = segment_ends(starts, len(t)) - starts >= 2
         first = t[starts[m]]
         second = t[starts[m] + 1]
         return pa.table({"d": pa.array(((second - first) // DAY)
@@ -11436,11 +10212,10 @@ def _q_second_order_latency(sf_dir: str):
             "q75": pa.array([q[0.75]], type=pa.int64()),
         })
 
-    return (_read(sf_dir, "orders",
-                  ["o_custkey", "o_orderkey", "o_orderdate"])
-            .repartition(16, keys=["o_custkey"])
-            .map_batches(per_cust, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    orders = _read(sf_dir, "orders",
+                   ["o_custkey", "o_orderkey", "o_orderdate"])
+    return (keyed_fold(orders, ["o_custkey"], per_cust, 16,
+                       ("o_orderdate", "o_orderkey"))
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
@@ -11451,57 +10226,27 @@ def _q_first_response_latency(sf_dir: str):
     turn (the user-facing first-response latency; conversations with no
     assistant turn are excluded) — exact integer microseconds per conv.
     One conv-keyed shuffle + vectorized first-of-run masks."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data
 
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
-
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "conv_id": pa.array([], type=pa.string()),
-                "latency_us": pa.array([], type=pa.int64()),
-            })
-        conv = as_array(b.column("conv_id"))
-        d = as_array(pc.dictionary_encode(conv))
-        codes = d.indices.to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        ts = b.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        role = np.asarray(as_array(b.column("role")).to_pylist(),
-                          dtype=object)
-        order = np.lexsort((tidx, codes))
-        c, t, r = codes[order], ts[order], role[order]
-        new = np.ones(len(c), dtype=bool)
-        new[1:] = c[1:] != c[:-1]
-        starts = np.flatnonzero(new)
-        n_convs = len(d.dictionary)
-        first_ts = t[starts]
+    def fold(b, starts):
+        t = np_col(b, "ts").astype(np.int64)
+        c = segment_ids(starts, len(t))
         # first assistant row per conv: mask + first-occurrence fold
-        is_a = r == "assistant"
+        is_a = np_col(b, "role") == "assistant"
         big = np.iinfo(np.int64).max
-        first_a = np.full(n_convs, big, dtype=np.int64)
-        pos = np.arange(len(c))
-        np.minimum.at(first_a, c[is_a], pos[is_a])
-        has = first_a != big
-        sel = np.flatnonzero(has)
-        lat = t[first_a[has]] - first_ts[np.searchsorted(
-            c[starts], sel)]
+        first_a = np.full(len(starts), big, dtype=np.int64)
+        np.minimum.at(first_a, c[is_a], np.flatnonzero(is_a))
+        sel = np.flatnonzero(first_a != big)
         return pa.table({
-            "conv_id": d.dictionary.take(pa.array(sel)).cast(
-                pa.string()),
-            "latency_us": pa.array(lat.astype(np.int64)),
+            "conv_id": b.column("conv_id").take(starts[sel]),
+            "latency_us": pa.array(t[first_a[sel]] - t[starts[sel]]),
         })
 
-    return (ray.data.read_parquet(_transcripts_dir(sf_dir),
-                                  columns=["conv_id", "turn_idx",
-                                           "role", "ts"])
-            .repartition(8, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .sort("conv_id"))
+    convs = ray.data.read_parquet(_transcripts_dir(sf_dir),
+                                  columns=["conv_id", "turn_idx", "role",
+                                           "ts"])
+    return keyed_fold(convs, ["conv_id"], fold, 8,
+                      ("turn_idx",)).sort("conv_id")
 
 
 def _q_customer_rfm(sf_dir: str):
@@ -11594,31 +10339,15 @@ def _q_weekly_new_vs_repeat_revenue(sf_dir: str):
     Custkey-keyed fold computes the split per customer in-block and
     emits tiny (week, new, repeat) partials — one shuffle on customer,
     one KB-sized week fold, exact cents."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
-    def per_cust(b):
-        if len(b) == 0:
-            return pa.table({
-                "week": pa.array([], type=pa.string()),
-                "new_cents": pa.array([], type=pa.int64()),
-                "repeat_cents": pa.array([], type=pa.int64()),
-            })
-        ck = b.column("o_custkey").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        wk = np.asarray(pc.strftime(b.column("o_orderdate"),
-                                    format="%G-W%V").to_pylist(),
-                        dtype=object)
-        tp = b.column("o_totalprice").to_numpy(zero_copy_only=False)
-        cents = np.floor(tp * 100 + 0.5).astype(np.int64)
-        order = np.lexsort((wk, ck))
-        c, w, v = ck[order], wk[order], cents[order]
-        new = np.ones(len(c), dtype=bool)
-        new[1:] = c[1:] != c[:-1]
-        first_w = np.repeat(
-            w[np.flatnonzero(new)],
-            np.diff(np.append(np.flatnonzero(new), len(c))))
-        is_new = w == first_w
+    def per_cust(b, starts):
+        # ISO year-week strings sort like the dates they come from
+        w = np.asarray(pc.strftime(b.column("o_orderdate"),
+                                   format="%G-W%V").to_pylist(),
+                       dtype=object)
+        v = np.floor(np_col(b, "o_totalprice") * 100 + 0.5).astype(np.int64)
+        is_new = w == w[starts][segment_ids(starts, len(w))]
         t = pa.table({
             "week": pa.array(w, type=pa.string()),
             "new_c": pa.array(np.where(is_new, v, 0)),
@@ -11648,11 +10377,9 @@ def _q_weekly_new_vs_repeat_revenue(sf_dir: str):
                 pa.int64()),
         })
 
-    return (_read(sf_dir, "orders",
-                  ["o_custkey", "o_orderdate", "o_totalprice"])
-            .repartition(16, keys=["o_custkey"])
-            .map_batches(per_cust, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    return (keyed_fold(_read(sf_dir, "orders",
+                             ["o_custkey", "o_orderdate", "o_totalprice"]),
+                       ["o_custkey"], per_cust, 16, ("o_orderdate",))
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True)
@@ -11839,50 +10566,29 @@ def _q_conv_question_stats(sf_dir: str):
     that END with a question mark, and the qshare in ppm — flags
     corpora of rhetorical/log-like 'users' that never ask anything.
     One conv-keyed count fold, vectorized ends_with."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
 
-    from apache_datasketches_go_ray.stages.arrow_util import as_array
-
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "conv_id": pa.array([], type=pa.string()),
-                "user_turns": pa.array([], type=pa.int64()),
-                "question_turns": pa.array([], type=pa.int64()),
-                "qshare_ppm": pa.array([], type=pa.int64()),
-            })
-        conv = as_array(b.column("conv_id"))
-        d = as_array(pc.dictionary_encode(conv))
-        codes = d.indices.to_numpy(zero_copy_only=False)
-        role = np.asarray(as_array(b.column("role")).to_pylist(),
-                          dtype=object)
-        endsq = pc.ends_with(as_array(b.column("text")).cast(
-            pa.string()), pattern="?").to_numpy(zero_copy_only=False)
-        is_u = role == "user"
-        n_convs = len(d.dictionary)
-        ut = np.bincount(codes[is_u], minlength=n_convs) \
+    def fold(b, starts):
+        is_u = np_col(b, "role") == "user"
+        endsq = pc.ends_with(b.column("text").cast(pa.string()),
+                             pattern="?").to_numpy(zero_copy_only=False)
+        seg = segment_ids(starts, len(is_u))
+        ut = np.bincount(seg[is_u], minlength=len(starts)).astype(np.int64)
+        qt = np.bincount(seg[is_u & endsq], minlength=len(starts)) \
             .astype(np.int64)
-        qt = np.bincount(codes[is_u & endsq], minlength=n_convs) \
-            .astype(np.int64)
-        keep = ut > 0
-        sel = np.flatnonzero(keep)
+        sel = np.flatnonzero(ut > 0)
         ppm = (qt[sel] * 1_000_000) // ut[sel]
         return pa.table({
-            "conv_id": d.dictionary.take(pa.array(sel)).cast(
-                pa.string()),
+            "conv_id": b.column("conv_id").take(starts[sel]),
             "user_turns": pa.array(ut[sel]),
             "question_turns": pa.array(qt[sel]),
             "qshare_ppm": pa.array(ppm),
         })
 
-    return (ray.data.read_parquet(_transcripts_dir(sf_dir),
+    convs = ray.data.read_parquet(_transcripts_dir(sf_dir),
                                   columns=["conv_id", "role", "text"])
-            .repartition(8, keys=["conv_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .sort("conv_id"))
+    return keyed_fold(convs, ["conv_id"], fold, 8, ()).sort("conv_id")
 
 
 def _q_doc_sentence_stats(sf_dir: str):
@@ -11940,14 +10646,7 @@ def _q_user_weekend_share(sf_dir: str):
             "n": g.column("one_sum").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "user_id": pa.array([], type=pa.int64()),
-                "n_events": pa.array([], type=pa.int64()),
-                "weekend_events": pa.array([], type=pa.int64()),
-                "weekend_ppm": pa.array([], type=pa.int64()),
-            })
+    def fold(b, _):
         g = b.group_by(["user_id"]).aggregate([("we", "sum"),
                                                ("n", "sum")])
         we = g.column("we_sum").to_numpy(zero_copy_only=False) \
@@ -11961,12 +10660,10 @@ def _q_user_weekend_share(sf_dir: str):
             "weekend_ppm": pa.array((we * 1_000_000) // n),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "ts"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(8, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(_read(sf_dir, "events", ["user_id", "ts"])
+                       .map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["user_id"], fold, 8, None)
             .sort("user_id"))
 
 
@@ -12090,13 +10787,7 @@ def _q_user_event_entropy(sf_dir: str):
             "c": g.column("one_sum").cast(pa.int64()),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "user_id": pa.array([], type=pa.int64()),
-                "n_events": pa.array([], type=pa.int64()),
-                "entropy": pa.array([], type=pa.float64()),
-            })
+    def fold(b, _):
         g = b.group_by(["user_id", "event_type"]).aggregate([("c",
                                                              "sum")])
         u = g.column("user_id").to_numpy(zero_copy_only=False) \
@@ -12123,12 +10814,10 @@ def _q_user_event_entropy(sf_dir: str):
             "entropy": pa.array(out_e, type=pa.float64()),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "event_type"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(8, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(_read(sf_dir, "events", ["user_id", "event_type"])
+                       .map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["user_id"], fold, 8, None)
             .sort("user_id"))
 
 
@@ -12138,7 +10827,6 @@ def _q_supplier_activity_span(sf_dir: str):
     months (1 = perfectly continuous) — the vendor-reliability signal.
     Distinct (supplier, month-index) combiner shrinks the shuffle;
     per-supplier fold is a sorted diff."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     def partial(b):
@@ -12152,44 +10840,26 @@ def _q_supplier_activity_span(sf_dir: str):
         })
         return t.group_by(["s_suppkey", "mi"]).aggregate([])
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "s_suppkey": pa.array([], type=pa.int64()),
-                "active_months": pa.array([], type=pa.int64()),
-                "max_gap_months": pa.array([], type=pa.int64()),
-            })
-        g = b.group_by(["s_suppkey", "mi"]).aggregate([])
-        sk = g.column("s_suppkey").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        mi = g.column("mi").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        order = np.lexsort((mi, sk))
-        s, m = sk[order], mi[order]
-        new = np.ones(len(s), dtype=bool)
-        new[1:] = s[1:] != s[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(s))
-        n = (ends - starts).astype(np.int64)
-        diffs = np.diff(m)
-        same = ~new[1:]
+    def fold(b, starts):
+        mi = np_col(b, "mi")
+        keep = run_heads(starts, mi)  # distinct (supplier, month)
+        first = np.zeros(len(mi), dtype=bool)
+        first[starts] = True
+        m, starts = mi[keep], np.flatnonzero(first[keep])
+        same = next_in_segment(starts, len(m))
         gap = np.zeros(len(starts), dtype=np.int64)
-        if same.any():
-            seg_id = np.cumsum(new) - 1
-            gd = np.where(same, diffs, 0)
-            np.maximum.at(gap, seg_id[1:][same], gd[same])
+        np.maximum.at(gap, segment_ids(starts, len(m))[1:][same],
+                      np.diff(m)[same])
         return pa.table({
-            "s_suppkey": pa.array(s[starts]),
-            "active_months": pa.array(n),
+            "s_suppkey": pa.array(np_col(b, "s_suppkey")[keep][starts]),
+            "active_months": pa.array(segment_ends(starts, len(m)) - starts),
             "max_gap_months": pa.array(gap),
         })
 
-    return (_read(sf_dir, "lineitem", ["l_suppkey", "l_shipdate"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(8, keys=["s_suppkey"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(_read(sf_dir, "lineitem", ["l_suppkey", "l_shipdate"])
+                       .map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["s_suppkey"], fold, 8, ("mi",))
             .sort("s_suppkey"))
 
 
@@ -12217,13 +10887,7 @@ def _q_basket_size_value_curve(sf_dir: str):
             "lines": g.column("one_sum").cast(pa.int64()),
         })
 
-    def per_order_final(b):
-        if len(b) == 0:
-            return pa.table({
-                "n_lines": pa.array([], type=pa.int64()),
-                "cents": pa.array([], type=pa.int64()),
-                "one": pa.array([], type=pa.int64()),
-            })
+    def per_order_final(b, _):
         g = b.group_by(["o"]).aggregate([("cents", "sum"),
                                          ("lines", "sum")])
         return pa.table({
@@ -12247,13 +10911,11 @@ def _q_basket_size_value_curve(sf_dir: str):
             "revenue_cents": g.column("cents_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "lineitem",
-                  ["l_orderkey", "l_extendedprice", "l_discount"])
-            .map_batches(per_order, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(16, keys=["o"])
-            .map_batches(per_order_final, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    return (keyed_fold(_read(sf_dir, "lineitem",
+                             ["l_orderkey", "l_extendedprice", "l_discount"])
+                       .map_batches(per_order, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["o"], per_order_final, 16, None)
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True)
@@ -12368,25 +11030,10 @@ def _q_gap_log2_histogram(sf_dir: str):
     seconds; zero-second gaps get bucket -1). floor(log2(2^k)) is
     IEEE-exact on both engines, so the bucketing is deterministic.
     One user-keyed shuffle; diff + bincount."""
-    import pyarrow as pa
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "bucket": pa.array([], type=pa.int64()),
-                "n_gaps": pa.array([], type=pa.int64()),
-            })
-        uid = b.column("user_id").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        ts = b.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        eid = b.column("event_id").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        u, t = uid[order], ts[order]
-        same = np.zeros(len(u), dtype=bool)
-        same[1:] = u[1:] == u[:-1]
-        g = ((t - np.roll(t, 1)) // 1_000_000)[same]
+    def fold(b, starts):
+        t = np_col(b, "ts").astype(np.int64)
+        g = (np.diff(t) // 1_000_000)[next_in_segment(starts, len(t))]
         bucket = np.full(len(g), -1, dtype=np.int64)
         pos = g > 0
         bucket[pos] = np.floor(np.log2(g[pos].astype(np.float64))) \
@@ -12409,10 +11056,8 @@ def _q_gap_log2_histogram(sf_dir: str):
             "n_gaps": g.column("n_gaps_sum").cast(pa.int64()),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "event_id", "ts"])
-            .repartition(16, keys=["user_id"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(_read(sf_dir, "events", ["user_id", "event_id", "ts"]),
+                       ["user_id"], fold, 16, ("ts", "event_id"))
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True)
@@ -17091,7 +15736,3 @@ def oracle_sql() -> dict[str, str]:
             FROM r WHERE rn = 1
         """,
     }
-
-
-
-

@@ -26,28 +26,6 @@ def containment(a: np.ndarray, b: np.ndarray) -> float:
     return intersect_size(a, b) / m
 
 
-def jaccard_many(
-    flat: np.ndarray,
-    offsets: np.ndarray,
-    left_idx: np.ndarray,
-    right_idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized-ish exact Jaccard + containment for many index pairs over
-    one shingle store. Returns (jaccard, containment) float arrays."""
-    n = len(left_idx)
-    jac = np.empty(n, dtype=np.float64)
-    con = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        a = flat[offsets[left_idx[i]] : offsets[left_idx[i] + 1]]
-        b = flat[offsets[right_idx[i]] : offsets[right_idx[i] + 1]]
-        inter = intersect_size(a, b)
-        union = len(a) + len(b) - inter
-        jac[i] = inter / union if union else 1.0
-        m = min(len(a), len(b))
-        con[i] = inter / m if m else (1.0 if len(a) == len(b) else 0.0)
-    return jac, con
-
-
 def intersect_sizes_pairs(
     flat_a: np.ndarray,
     len_a: np.ndarray,

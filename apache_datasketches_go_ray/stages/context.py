@@ -28,14 +28,6 @@ def auto_partitions(n_rows: int, rows_per_part: int, cap: int) -> int:
     return int(min(cap, max(1, -(-n_rows // rows_per_part))))
 
 
-def target_block_size(bytes_: int | None = None) -> None:
-    """Optionally tune target block size for wide-text datasets."""
-    from ray.data.context import DataContext
-
-    if bytes_ is not None:
-        DataContext.get_current().target_max_block_size = bytes_
-
-
 def gather_table(ds, schema=None):
     """Materialize a (small) Dataset into one local pyarrow.Table.
 

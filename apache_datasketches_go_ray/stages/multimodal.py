@@ -47,26 +47,6 @@ from .arrow_util import as_array
 from ..functions.murmur3 import murmur3_128, fmix64
 
 
-def make_fake_media_batch(ids: list[int], kind: str = "image/png") -> pa.Table:
-    """Deterministic fake encoded payloads (for tests/demo pipelines)."""
-    payloads = []
-    metas = []
-    for i in ids:
-        h1, h2 = murmur3_128(f"media-{i}".encode())
-        rng = np.random.default_rng(h1 & 0x7FFFFFFF)
-        payloads.append(rng.integers(0, 256, size=256, dtype=np.uint8).tobytes())
-        if kind.startswith("image"):
-            metas.append(json.dumps({"width": 16, "height": 16, "channels": 3}))
-        else:
-            metas.append(json.dumps({"sample_rate": 16000, "n_samples": 1024}))
-    return pa.table({
-        "media_id": pa.array(ids, type=pa.int64()),
-        "media": pa.array(payloads, type=pa.large_binary()),
-        "media_type": pa.array([kind] * len(ids), type=pa.string()),
-        "media_meta": pa.array(metas, type=pa.string()),
-    })
-
-
 def encode_wav(samples: np.ndarray, sample_rate: int = 16000) -> bytes:
     """int16 mono/stereo samples -> RIFF/PCM WAV bytes (stdlib wave)."""
     import io
@@ -349,33 +329,6 @@ class DecodeStage:
                                     pa.array(decoded, type=pa.large_binary()))
                 .append_column("decoded_shape",
                                pa.array(shapes, type=pa.string())))
-
-
-class ResizeStage:
-    """Actor-pool stage: nearest-neighbor resize of decoded images
-    (pure-numpy; no PIL needed)."""
-
-    def __init__(self, out_w: int, out_h: int):
-        self.out_w = out_w
-        self.out_h = out_h
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = as_array(batch.column("decoded")).to_pylist()
-        shapes = [json.loads(s) for s in
-                  as_array(batch.column("decoded_shape")).to_pylist()]
-        out = []
-        for blob, sh in zip(blobs, shapes):
-            arr = np.frombuffer(blob, dtype=sh["dtype"]).reshape(sh["shape"])
-            h, w = arr.shape[:2]
-            yi = (np.arange(self.out_h) * h // self.out_h)
-            xi = (np.arange(self.out_w) * w // self.out_w)
-            out.append(arr[yi][:, xi].tobytes())
-        return (batch.drop_columns(["decoded", "decoded_shape"])
-                .append_column("resized", pa.array(out, type=pa.large_binary()))
-                .append_column("resized_shape", pa.array(
-                    [json.dumps({"shape": [self.out_h, self.out_w, 3],
-                                 "dtype": "uint8"})] * len(batch),
-                    type=pa.string())))
 
 
 class FeatureStage:

@@ -17,6 +17,8 @@ import pyarrow.compute as pc
 import ray
 
 from .context import auto_partitions
+from .keyed import (keyed_fold, np_col, rank_in_segment, segment_ends,
+                    segment_ids, sort_segments)
 
 
 def _topk_block(b: pa.Table, sort_keys: list[tuple[str, str]],
@@ -55,7 +57,7 @@ def distinct_count_by(ds, group_col: str, distinct_col: str, *,
         return b.select([group_col, distinct_col]) \
             .group_by([group_col, distinct_col]).aggregate([])
 
-    def count_partial(b: pa.Table) -> pa.Table:
+    def count_partial(b: pa.Table, _) -> pa.Table:
         d = b.group_by([group_col, distinct_col]).aggregate([])
         g = d.group_by(group_col).aggregate([(distinct_col, "count")])
         return pa.table({
@@ -64,7 +66,7 @@ def distinct_count_by(ds, group_col: str, distinct_col: str, *,
                 .cast(pa.int64()),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
+    def fold(b: pa.Table, _) -> pa.Table:
         g = b.group_by(group_col).aggregate([("n_distinct", "sum")])
         return pa.table({
             group_col: g.column(group_col),
@@ -72,15 +74,10 @@ def distinct_count_by(ds, group_col: str, distinct_col: str, *,
         })
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (
-        ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=[group_col, distinct_col])
-        .map_batches(count_partial, batch_format="pyarrow",
-                     batch_size=None, zero_copy_batch=True)
-        .repartition(min(8, P), keys=[group_col])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    pre_ds = ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
+    counts = keyed_fold(pre_ds, [group_col, distinct_col], count_partial,
+                        P, None)
+    return keyed_fold(counts, [group_col], fold, min(8, P), None)
 
 
 def _distinct_keys_table(ds, col: str) -> pa.Table:
@@ -172,48 +169,22 @@ def range_sort(ds, col: str, *, num_partitions: int = 16,
         return b.append_column("__part",
                                pa.array(part.astype(np.int64)))
 
-    def sort_block(b: pa.Table) -> pa.Table:
+    def sort_block(b: pa.Table, _) -> pa.Table:
         order = "descending" if descending else "ascending"
         idx = pc.sort_indices(b, sort_keys=[(col, order)])
         return b.take(idx)
 
-    return (
-        ds.map_batches(assign, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(len(bounds) + 1, keys=["__part"])
-        .map_batches(sort_block, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(
+        ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True),
+        ["__part"], sort_block, len(bounds) + 1, None)
 
 
-def _keep_first_n_per_key(b: pa.Table, key: str, order_col: str,
-                          id_col: str, n: int, descending: bool,
-                          with_rank: bool) -> pa.Table:
-    """Sort rows by (key, order_col [desc], id) and keep the first n of
-    each key segment — the shared kernel for both the per-block partial
-    and the post-shuffle final of top_n_per_group."""
-    if len(b) == 0:
-        if with_rank and "rnk" not in b.schema.names:
-            b = b.append_column("rnk", pa.array([], type=pa.int64()))
-        return b
-    k = b.column(key).to_numpy(zero_copy_only=False)
-    v = b.column(order_col).to_numpy(zero_copy_only=False)
-    ids = b.column(id_col).to_numpy(zero_copy_only=False)
-    vv = -v if descending else v
-    order = np.lexsort((ids, vv, k))
-    sk = k[order]
-    first = np.empty(len(sk), dtype=bool)
-    first[0] = True
-    np.not_equal(sk[1:], sk[:-1], out=first[1:])
-    idx = np.arange(len(sk), dtype=np.int64)
-    seg_start = idx[np.flatnonzero(first)][np.cumsum(first) - 1]
-    pos = idx - seg_start
+def _first_n(b: pa.Table, starts, n: int):
+    """The first ``n`` rows of each key run of a sorted block, and their
+    1-based ranks in the run."""
+    pos = rank_in_segment(starts, len(b))
     keep = pos < n
-    out = b.take(pa.array(order[keep], type=pa.int64()))
-    if with_rank:
-        out = out.append_column("rnk", pa.array(pos[keep] + 1,
-                                                type=pa.int64()))
-    return out
+    return b.filter(pa.array(keep)), pos[keep] + 1
 
 
 def top_n_per_group(ds, key: str, order_col: str, id_col: str, n: int,
@@ -225,23 +196,23 @@ def top_n_per_group(ds, key: str, order_col: str, id_col: str, n: int,
     before the shuffle (the combiner), so the exchange carries
     O(n * keys) rows; the post-shuffle final re-applies the same kernel
     and emits the 1-based rank."""
-    partial = functools.partial(
-        _keep_first_n_per_key, key=key, order_col=order_col,
-        id_col=id_col, n=n, descending=descending, with_rank=False)
-    final = functools.partial(
-        _keep_first_n_per_key, key=key, order_col=order_col,
-        id_col=id_col, n=n, descending=descending, with_rank=True)
+    order = (("-" if descending else "") + order_col, id_col)
+
+    def partial(b: pa.Table) -> pa.Table:
+        return _first_n(*sort_segments(b, [key], order), n)[0]
+
+    def final(b: pa.Table, starts) -> pa.Table:
+        out, rank = _first_n(b, starts, n)
+        return out.append_column("rnk", pa.array(rank, type=pa.int64()))
+
     # nrows lets callers whose ds already has transforms avoid an extra
     # execution just to size the shuffle (count() re-runs the pipeline)
     P = auto_partitions(ds.count() if nrows is None else nrows,
                         500_000, num_partitions)
-    return (
-        ds.select_columns([key, order_col, id_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=[key])
-        .map_batches(final, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(
+        ds.select_columns([key, order_col, id_col]).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True),
+        [key], final, P, order)
 
 
 def grouped_quantile_disc(ds, key: str, value_col: str,
@@ -254,27 +225,10 @@ def grouped_quantile_disc(ds, key: str, value_col: str,
     indexing — no second pass per quantile. Exact counterpart of the
     approximate grouped-KLL aggregate in stages/sketch_aggs.py."""
 
-    def fold(b: pa.Table) -> pa.Table:
-        cols: dict = {key: []}
-        cols.update({f"q{int(q * 100)}": [] for q in qs})
-        if len(b) == 0:
-            t = b.schema.field(value_col).type if value_col in \
-                b.schema.names else pa.int64()
-            kt = b.schema.field(key).type if key in b.schema.names \
-                else pa.string()
-            return pa.table(
-                {key: pa.array([], type=kt),
-                 **{c: pa.array([], type=t) for c in cols if c != key}})
-        k = b.column(key).to_numpy(zero_copy_only=False)
-        v = b.column(value_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, k))
-        sk, sv = k[order], v[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(sk)))
-        out = {key: pa.array(sk[starts])}
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sv = np_col(b, value_col)
+        lens = segment_ends(starts, len(sv)) - starts
+        out = {key: pa.array(np_col(b, key)[starts])}
         for q in qs:
             pos = starts + np.maximum(
                 np.ceil(q * lens).astype(np.int64), 1) - 1
@@ -282,12 +236,8 @@ def grouped_quantile_disc(ds, key: str, value_col: str,
         return pa.table(out)
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (
-        ds.select_columns([key, value_col])
-        .repartition(P, keys=[key])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(ds.select_columns([key, value_col]), [key], fold,
+                      P, (value_col,))
 
 
 def global_ntile(ds, order_col: str, id_col: str, k: int, *,
@@ -344,42 +294,22 @@ def global_ntile(ds, order_col: str, id_col: str, k: int, *,
     q, rem = divmod(total, k) if total else (0, 0)
     pivot = rem * (q + 1)  # ranks 1..pivot live in the wide buckets
 
-    def rank_block(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                id_col: pa.array([], type=pa.int64()),
-                order_col: pa.array(
-                    [], type=b.schema.field(order_col).type
-                    if order_col in b.schema.names else pa.float64()),
-                "bucket": pa.array([], type=pa.int64()),
-            })
-        p = b.column("__part").to_numpy(zero_copy_only=False)
-        v = b.column(order_col).to_numpy(zero_copy_only=False)
-        ids = b.column(id_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, v, p))
-        sp = p[order]
-        first = np.empty(len(sp), dtype=bool)
-        first[0] = True
-        np.not_equal(sp[1:], sp[:-1], out=first[1:])
-        idx = np.arange(len(sp), dtype=np.int64)
-        seg_start = idx[np.flatnonzero(first)][np.cumsum(first) - 1]
-        rank = offsets[sp] + (idx - seg_start) + 1
+    def rank_block(b: pa.Table, starts) -> pa.Table:
+        sp = np_col(b, "__part")
+        rank = offsets[sp] + rank_in_segment(starts, len(sp)) + 1
         bucket = np.where(
             rank <= pivot,
             (rank - 1) // (q + 1) if q + 1 else 0,
             rem + (np.maximum(rank - pivot, 1) - 1) // max(q, 1),
         ) + 1
         return pa.table({
-            id_col: pa.array(ids[order], type=pa.int64()),
-            order_col: pa.array(v[order]),
+            id_col: b.column(id_col).cast(pa.int64()),
+            order_col: pa.array(np_col(b, order_col)),
             "bucket": pa.array(bucket.astype(np.int64)),
         })
 
-    return (
-        assigned.repartition(len(bounds) + 1, keys=["__part"])
-        .map_batches(rank_block, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(assigned, ["__part"], rank_block, len(bounds) + 1,
+                      (order_col, id_col))
 
 
 def set_op_keys(left_ds, right_ds, on: tuple[str, str], op: str, *,
@@ -405,11 +335,7 @@ def set_op_keys(left_ds, right_ds, on: tuple[str, str], op: str, *,
             })
         return fn
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            t = b.schema.field(out).type if out in b.schema.names \
-                else pa.int64()
-            return pa.table({out: pa.array([], type=t)})
+    def fold(b: pa.Table, _) -> pa.Table:
         g = b.group_by(out).aggregate([("__side", "min"),
                                        ("__side", "max")])
         lo, hi = g.column("__side_min"), g.column("__side_max")
@@ -427,11 +353,7 @@ def set_op_keys(left_ds, right_ds, on: tuple[str, str], op: str, *,
                .map_batches(tag(1, rk), batch_format="pyarrow",
                             zero_copy_batch=True))
     )
-    return (
-        tagged.repartition(num_partitions, keys=[out])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(tagged, [out], fold, num_partitions, None)
 
 
 def grouped_quantile_cont(ds, key: str, value_col: str,
@@ -441,23 +363,12 @@ def grouped_quantile_cont(ds, key: str, value_col: str,
     linear interpolation at position q*(n-1) of the sorted group).
     Same one-shuffle + one-lexsort shape as grouped_quantile_disc."""
 
-    def fold(b: pa.Table) -> pa.Table:
-        names = [f"q{int(q * 100)}" for q in qs]
-        if len(b) == 0:
-            return pa.table(
-                {key: pa.array([], type=pa.string()),
-                 **{c: pa.array([], type=pa.float64()) for c in names}})
-        k = b.column(key).to_numpy(zero_copy_only=False)
-        v = b.column(value_col).to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        order = np.lexsort((v, k))
-        sk, sv = k[order], v[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(sk)))
-        out = {key: pa.array(sk[starts])}
+    names = [f"q{int(q * 100)}" for q in qs]
+
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sv = np_col(b, value_col).astype(np.float64)
+        lens = segment_ends(starts, len(sv)) - starts
+        out = {key: pa.array(np_col(b, key)[starts])}
         for q, name in zip(qs, names):
             pos = q * (lens - 1)
             lo = np.floor(pos).astype(np.int64)
@@ -469,12 +380,8 @@ def grouped_quantile_cont(ds, key: str, value_col: str,
         return pa.table(out)
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (
-        ds.select_columns([key, value_col])
-        .repartition(P, keys=[key])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(ds.select_columns([key, value_col]), [key], fold,
+                      P, (value_col,))
 
 
 def mode_per_group(ds, key: str, value_col: str, *,
@@ -494,13 +401,7 @@ def mode_per_group(ds, key: str, value_col: str, *,
             "cnt": g.column("count_all").cast(pa.int64()),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                key: pa.array([], type=pa.int64()),
-                "top_value": pa.array([], type=pa.string()),
-                "cnt": pa.array([], type=pa.int64()),
-            })
+    def fold(b: pa.Table, _) -> pa.Table:
         g = b.group_by([key, value_col]).aggregate([("cnt", "sum")])
         # sort (key, cnt desc, value asc), keep first per key
         idx = pc.sort_indices(g, sort_keys=[
@@ -520,13 +421,10 @@ def mode_per_group(ds, key: str, value_col: str, *,
         })
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (
-        ds.select_columns([key, value_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=[key])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(
+        ds.select_columns([key, value_col]).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True),
+        [key], fold, P, None)
 
 
 _BLOOM_BITS_PER_KEY = 10
@@ -667,28 +565,9 @@ def winsorize_mean_by(ds, key: str, value_col: str, *,
     1e4-scaled floor ratio so a SQL oracle matches bit-for-bit on
     integer value columns."""
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            kt = b.schema.field(key).type if key in b.schema.names \
-                else pa.string()
-            return pa.table({
-                key: pa.array([], type=kt),
-                "n": pa.array([], type=pa.int64()),
-                "lo": pa.array([], type=pa.int64()),
-                "hi": pa.array([], type=pa.int64()),
-                "winsorized_sum": pa.array([], type=pa.int64()),
-                "winsorized_mean_e4": pa.array([], type=pa.int64()),
-            })
-        k = b.column(key).to_numpy(zero_copy_only=False)
-        v = b.column(value_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        order = np.lexsort((v, k))
-        sk, sv = k[order], v[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(sk)))
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sv = np_col(b, value_col).astype(np.int64)
+        lens = segment_ends(starts, len(sv)) - starts
         lo_pos = starts + np.maximum(
             np.ceil(lo_q * lens).astype(np.int64), 1) - 1
         hi_pos = starts + np.maximum(
@@ -697,7 +576,7 @@ def winsorize_mean_by(ds, key: str, value_col: str, *,
         clamped = np.clip(sv, np.repeat(lo, lens), np.repeat(hi, lens))
         csum = np.add.reduceat(clamped, starts)
         return pa.table({
-            key: pa.array(sk[starts]),
+            key: pa.array(np_col(b, key)[starts]),
             "n": pa.array(lens.astype(np.int64)),
             "lo": pa.array(lo),
             "hi": pa.array(hi),
@@ -706,14 +585,9 @@ def winsorize_mean_by(ds, key: str, value_col: str, *,
                 csum.astype(np.int64) * 10_000 // lens),
         })
 
-    from .context import auto_partitions
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (
-        ds.select_columns([key, value_col])
-        .repartition(P, keys=[key])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(ds.select_columns([key, value_col]), [key], fold,
+                      P, (value_col,))
 
 
 def merge_upsert(base_ds, changes_ds, key: str, *, op_col: str = "op",
@@ -746,36 +620,22 @@ def merge_upsert(base_ds, changes_ds, key: str, *, op_col: str = "op",
             return pa.table(cols)
         return fn
 
-    def resolve(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return b.select([key] + payload)
-        k = b.column(key).to_numpy(zero_copy_only=False)
-        chg = b.column("__chg").to_numpy(zero_copy_only=False)
-        order = np.lexsort((-chg.astype(np.int64), k))
-        sk = k[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
+    def resolve(b: pa.Table, starts) -> pa.Table:
         # change rows sort first within a key, so the first row per key
         # is the change when one exists, else the base row
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(sk)))
-        schg = chg[order]
-        if int(np.add.reduceat(schg.astype(np.int64), starts).max()
-               if len(starts) else 0) > 1:
+        schg = np_col(b, "__chg")
+        if int(np.add.reduceat(schg.astype(np.int64), starts).max()) > 1:
             raise ValueError("merge_upsert: multiple change rows for a "
                              "key — compact changes first")
         winners = starts
-        ops = b.column("__op").to_numpy(zero_copy_only=False)[order]
+        ops = np_col(b, "__op")
         is_delete = np.zeros(len(winners), dtype=bool)
         wchg = schg[winners] == 1
         is_delete[wchg] = ops[winners[wchg]] == "delete"
         keep = winners[~is_delete]
-        idx = pa.array(order[keep].astype(np.int64))
-        out = b.take(idx)
-        return out.select([key] + payload)
+        return b.take(pa.array(keep.astype(np.int64))) \
+            .select([key] + payload)
 
-    from .context import auto_partitions
     n = base_ds.count() + changes_ds.count()
     P = auto_partitions(n, 500_000, num_partitions)
     tagged = base_ds.select_columns(base_cols) \
@@ -783,9 +643,7 @@ def merge_upsert(base_ds, changes_ds, key: str, *, op_col: str = "op",
                      zero_copy_batch=True) \
         .union(changes_ds.map_batches(tag(1), batch_format="pyarrow",
                                       zero_copy_batch=True))
-    return tagged.repartition(P, keys=[key]) \
-        .map_batches(resolve, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
+    return keyed_fold(tagged, [key], resolve, P, ("-__chg",))
 
 
 def diff_snapshots(a_ds, b_ds, key: str, *, num_partitions: int = 8):
@@ -806,21 +664,9 @@ def diff_snapshots(a_ds, b_ds, key: str, *, num_partitions: int = 8):
                 "__side", pa.array(np.full(len(b), side, dtype=np.int8)))
         return fn
 
-    def resolve(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            kt = b.schema.field(key).type if key in b.schema.names \
-                else pa.int64()
-            return pa.table({key: pa.array([], type=kt),
-                             "status": pa.array([], type=pa.string())})
-        k = b.column(key).to_numpy(zero_copy_only=False)
-        side = b.column("__side").to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, k))
-        sk, ss = k[order], side[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(sk)))
+    def resolve(b: pa.Table, starts) -> pa.Table:
+        ss = np_col(b, "__side")
+        lens = segment_ends(starts, len(ss)) - starts
         if lens.max() > 2 or (lens == 2).any() and \
                 (ss[starts[lens == 2]] + ss[starts[lens == 2] + 1] != 1).any():
             raise ValueError("diff_snapshots: duplicate key within a "
@@ -830,8 +676,8 @@ def diff_snapshots(a_ds, b_ds, key: str, *, num_partitions: int = 8):
         removed = starts[only & (ss[starts] == 0)]
         both = starts[~only]  # A row at i (side 0), B row at i+1
         if len(both):
-            ia = pa.array(order[both].astype(np.int64))
-            ib = pa.array(order[both + 1].astype(np.int64))
+            ia = pa.array(both.astype(np.int64))
+            ib = pa.array((both + 1).astype(np.int64))
             diff = np.zeros(len(both), dtype=bool)
             for c in payload:
                 col = b.column(c)
@@ -847,19 +693,16 @@ def diff_snapshots(a_ds, b_ds, key: str, *, num_partitions: int = 8):
             np.full(len(added), "added", dtype=object),
             np.full(len(removed), "removed", dtype=object),
             np.full(len(changed), "changed", dtype=object)])
-        return pa.table({key: pa.array(sk[pos]),
+        return pa.table({key: pa.array(np_col(b, key)[pos]),
                          "status": pa.array(status, type=pa.string())})
 
-    from .context import auto_partitions
     P = auto_partitions(a_ds.count() + b_ds.count(), 500_000,
                         num_partitions)
     tagged = a_ds.map_batches(tag(0), batch_format="pyarrow",
                               zero_copy_batch=True) \
         .union(b_ds.map_batches(tag(1), batch_format="pyarrow",
                                 zero_copy_batch=True))
-    return tagged.repartition(P, keys=[key]) \
-        .map_batches(resolve, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
+    return keyed_fold(tagged, [key], resolve, P, ("__side",))
 
 
 def weighted_median_by(ds, key: str, value_col: str, weight_col: str, *,
@@ -870,27 +713,10 @@ def weighted_median_by(ds, key: str, value_col: str, weight_col: str, *,
     generalization of grouped_quantile_disc (integer-exact, ANSI
     window-function reproducible)."""
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            kt = b.schema.field(key).type if key in b.schema.names \
-                else pa.string()
-            return pa.table({
-                key: pa.array([], type=kt),
-                "weighted_median": pa.array([], type=pa.int64()),
-                "total_weight": pa.array([], type=pa.int64()),
-            })
-        k = b.column(key).to_numpy(zero_copy_only=False)
-        v = b.column(value_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        w = b.column(weight_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        order = np.lexsort((v, k))
-        sk, sv, sw = k[order], v[order], w[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(sk)))
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sv = np_col(b, value_col).astype(np.int64)
+        sw = np_col(b, weight_col).astype(np.int64)
+        lens = segment_ends(starts, len(sv)) - starts
         cw = np.cumsum(sw)
         base = np.repeat(cw[starts] - sw[starts], lens)
         cw_local = cw - base
@@ -898,24 +724,19 @@ def weighted_median_by(ds, key: str, value_col: str, weight_col: str, *,
         ok = 2 * cw_local >= tot
         # first qualifying row per group = lower weighted median (the
         # last row of every group always qualifies, so each group has one)
-        grp = np.cumsum(first) - 1
         idx = np.flatnonzero(ok)
-        first_ok = np.full(len(starts), len(sk), dtype=np.int64)
-        np.minimum.at(first_ok, grp[idx], idx)
-        med = sv[first_ok]
+        first_ok = np.full(len(starts), len(sv), dtype=np.int64)
+        np.minimum.at(first_ok, segment_ids(starts, len(sv))[idx], idx)
         return pa.table({
-            key: pa.array(sk[starts]),
-            "weighted_median": pa.array(med),
+            key: pa.array(np_col(b, key)[starts]),
+            "weighted_median": pa.array(sv[first_ok]),
             "total_weight": pa.array(np.add.reduceat(sw, starts)
                                      .astype(np.int64)),
         })
 
-    from .context import auto_partitions
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (ds.select_columns([key, value_col, weight_col])
-            .repartition(P, keys=[key])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.select_columns([key, value_col, weight_col]),
+                      [key], fold, P, (value_col,))
 
 
 def partition_checksums(ds, id_col: str, val_col: str, *,
@@ -1001,32 +822,16 @@ def filter_above_group_quantile(ds, key: str, val_col: str,
     cols = [key, val_col] + [c for c in carry
                              if c not in (key, val_col)]
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return b
-        k = b.column(key).to_numpy(zero_copy_only=False)
-        v = b.column(val_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, k))
-        sk, sv = k[order], v[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(sk)))
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sv = np_col(b, val_col)
+        lens = segment_ends(starts, len(sv)) - starts
         # q=0 keeps the whole group: clamp the rank to its first row
         thr_idx = starts + np.maximum(
             np.ceil(q * lens).astype(np.int64), 1) - 1
-        thr = np.repeat(sv[thr_idx], lens)
-        keep_sorted = sv >= thr
-        keep = np.zeros(len(sk), dtype=bool)
-        keep[order] = keep_sorted
-        return b.filter(pa.array(keep))
+        return b.filter(pa.array(sv >= np.repeat(sv[thr_idx], lens)))
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (ds.select_columns(cols)
-            .repartition(P, keys=[key])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.select_columns(cols), [key], fold, P, (val_col,))
 
 
 def grouped_linear_trend(ds, key: str, x_col: str, y_col: str, *,
@@ -1063,14 +868,7 @@ def grouped_linear_trend(ds, key: str, x_col: str, y_col: str, *,
         return pa.table({key: pa.array(uk),
                          **{c: pa.array(v) for c, v in out.items()}})
 
-    def final(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                key: pa.array([], type=pa.int64()),
-                "n": pa.array([], type=pa.int64()),
-                "slope_num": pa.array([], type=pa.int64()),
-                "slope_den": pa.array([], type=pa.int64()),
-            })
+    def final(b: pa.Table, _) -> pa.Table:
         g = b.group_by(key).aggregate(
             [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
              ("sxy", "sum"), ("sxx", "sum")])
@@ -1087,12 +885,10 @@ def grouped_linear_trend(ds, key: str, x_col: str, y_col: str, *,
         })
 
     P = auto_partitions(ds.count(), 2_000_000, num_partitions)
-    return (ds.select_columns([key, x_col, y_col])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(P, keys=[key])
-            .map_batches(final, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        ds.select_columns([key, x_col, y_col]).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True),
+        [key], final, P, None)
 
 
 def cooccurrence_counts(ds, key: str, item_col: str, *,
@@ -1120,19 +916,15 @@ def cooccurrence_counts(ds, key: str, item_col: str, *,
         "n_keys": pa.array([], type=pa.int64()),
     })
 
-    def expand(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _pairs_empty
-        d = b.group_by([key, item_col]).aggregate([])  # cross-block dedup
-        k = d.column(key).to_numpy(zero_copy_only=False)
-        items = d.column(item_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((items, k))
-        ks, its = k[order], items[order]
-        first = np.empty(len(ks), dtype=bool)
-        first[0] = True
-        np.not_equal(ks[1:], ks[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(ks)))
+    def expand(b: pa.Table, starts) -> pa.Table:
+        its = np_col(b, item_col)
+        first = np.zeros(len(its), dtype=bool)
+        first[starts] = True
+        keep = first.copy()  # cross-block dedup of (key, item)
+        keep[1:] |= its[1:] != its[:-1]
+        its = its[keep]
+        starts = np.flatnonzero(first[keep])
+        lens = segment_ends(starts, len(its)) - starts
         a_parts, b_parts = [], []
         for g in np.unique(lens):
             if g < 2:
@@ -1166,12 +958,9 @@ def cooccurrence_counts(ds, key: str, item_col: str, *,
         })
 
     P = auto_partitions(ds.count(), 1_000_000, num_partitions)
-    return (ds.select_columns([key, item_col])
-            .map_batches(distinct, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(P, keys=[key])
-            .map_batches(expand, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    return (keyed_fold(ds.select_columns([key, item_col]).map_batches(
+                distinct, batch_format="pyarrow", zero_copy_batch=True),
+                [key], expand, P, (item_col,))
             .repartition(1)
             .map_batches(fold, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
@@ -1197,10 +986,10 @@ def grouped_count_distribution(ds, key: str, *,
         return pa.table({key: g.column(key),
                          "c": g.column("count_all").cast(pa.int64())})
 
-    def per_key_hist(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({"cnt": pa.array([], type=pa.int64()),
-                             "n_keys": pa.array([], type=pa.int64())})
+    _empty = pa.table({"cnt": pa.array([], type=pa.int64()),
+                       "n_keys": pa.array([], type=pa.int64())})
+
+    def per_key_hist(b: pa.Table, _) -> pa.Table:
         g = b.group_by(key).aggregate([("c", "sum")])
         h = pa.table({"cnt": g.column("c_sum").cast(pa.int64())}) \
             .group_by("cnt").aggregate([([], "count_all")])
@@ -1209,10 +998,8 @@ def grouped_count_distribution(ds, key: str, *,
                         .cast(pa.int64())})
 
     def fold(b: pa.Table) -> pa.Table:
-        empty = pa.table({"cnt": pa.array([], type=pa.int64()),
-                          "n_keys": pa.array([], type=pa.int64())})
         if len(b) == 0:
-            b = empty
+            b = _empty
         g = b.group_by("cnt").aggregate([("n_keys", "sum")])
         cnt = g.column("cnt").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -1227,51 +1014,12 @@ def grouped_count_distribution(ds, key: str, *,
                          "n_keys": pa.array(nk.astype(np.int64))})
 
     P = auto_partitions(ds.count(), 2_000_000, num_partitions)
-    return (ds.select_columns([key])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(P, keys=[key])
-            .map_batches(per_key_hist, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
+    return (keyed_fold(ds.select_columns([key]).map_batches(
+                partial, batch_format="pyarrow", zero_copy_batch=True),
+                [key], per_key_hist, P, None)
             .repartition(1)
             .map_batches(fold, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
-
-
-def _group_topk_block(b: pa.Table, key: str,
-                      sort_keys: list[tuple[str, str]],
-                      k: int) -> pa.Table:
-    """Keep at most k rows per key under (col, direction) order —
-    vectorized: one lexsort, group starts from one diff, rank-within-
-    group from one repeat. Numeric sort columns only for descending."""
-    from .arrow_util import as_array
-
-    if len(b) == 0:
-        return b
-    import pyarrow.compute as pc2
-
-    kcol = as_array(b.column(key))
-    codes = as_array(pc2.dictionary_encode(kcol)).indices \
-        .to_numpy(zero_copy_only=False)
-    arrs = []
-    for col, direction in reversed(sort_keys):
-        a = b.column(col).to_numpy(zero_copy_only=False)
-        if direction == "descending":
-            if not np.issubdtype(np.asarray(a).dtype, np.number):
-                raise ValueError(
-                    f"descending sort needs a numeric column: {col}")
-            a = -a
-        arrs.append(a)
-    arrs.append(codes)
-    order = np.lexsort(tuple(arrs))
-    ks = codes[order]
-    first = np.empty(len(ks), dtype=bool)
-    first[0] = True
-    np.not_equal(ks[1:], ks[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    lens = np.diff(np.append(starts, len(ks)))
-    rank = np.arange(len(ks)) - np.repeat(starts, lens)
-    return b.take(pa.array(order[rank < k]))
 
 
 def grouped_bottom_k(ds, key: str, sort_keys: list[tuple[str, str]],
@@ -1283,16 +1031,16 @@ def grouped_bottom_k(ds, key: str, sort_keys: list[tuple[str, str]],
     per-key fold then takes the true per-group k. Pair with a hash
     sort column for a uniform-without-replacement sample per group
     (the grouped form of sample_docs_bottomk's KMV idea)."""
-    import functools
+    order = [("-" if d == "descending" else "") + c for c, d in sort_keys]
 
-    fn = functools.partial(_group_topk_block, key=key,
-                           sort_keys=sort_keys, k=k)
+    def partial(b: pa.Table) -> pa.Table:
+        return _first_n(*sort_segments(b, [key], order), k)[0]
+
     P = auto_partitions(ds.count(), 2_000_000, num_partitions)
-    return (ds.map_batches(fn, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(P, keys=[key])
-            .map_batches(fn, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        [key], lambda b, starts: _first_n(b, starts, k)[0],
+        P, order)
 
 
 def flag_group_outliers(ds, key: str, val_col: str, *, z: int = 3,
@@ -1311,38 +1059,25 @@ def flag_group_outliers(ds, key: str, val_col: str, *, z: int = 3,
     carry_types = {c: schema.types[schema.names.index(c)]
                    for c in carry}
 
-    def fold(b: pa.Table) -> pa.Table:
-        cols = {key: pa.array([], type=pa.int64()),
-                val_col: pa.array([], type=pa.int64())}
-        for c in carry:
-            cols[c] = pa.array([], type=carry_types[c])
-        if len(b) == 0:
-            return pa.table(cols)
-        k = b.column(key).cast(pa.int64()).to_numpy(zero_copy_only=False)
+    def fold(b: pa.Table, starts) -> pa.Table:
         x = b.column(val_col).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        uk, inv = np.unique(k, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        sx = np.zeros(len(uk), dtype=np.int64)
-        np.add.at(sx, inv, x)
-        sxx = np.zeros(len(uk), dtype=np.int64)
-        np.add.at(sxx, inv, x * x)
-        ni, sxi, sxxi = n[inv], sx[inv], sxx[inv]
-        lhs = (ni * x - sxi).astype(np.int64)
-        rhs = z * z * (ni * sxxi - sxi * sxi)
-        mask = (ni >= 2) & (lhs * lhs > rhs)
-        out = {key: pa.array(k[mask]),
-               val_col: pa.array(x[mask])}
+        seg = segment_ids(starts, len(x))
+        n = (segment_ends(starts, len(x)) - starts)[seg]
+        sx = np.add.reduceat(x, starts)[seg]
+        sxx = np.add.reduceat(x * x, starts)[seg]
+        lhs = (n * x - sx).astype(np.int64)
+        rhs = z * z * (n * sxx - sx * sx)
+        mask = pa.array((n >= 2) & (lhs * lhs > rhs))
+        out = {key: b.column(key).cast(pa.int64()).filter(mask),
+               val_col: pa.array(x).filter(mask)}
         for c in carry:
-            out[c] = b.column(c).cast(carry_types[c]) \
-                .filter(pa.array(mask))
+            out[c] = b.column(c).cast(carry_types[c]).filter(mask)
         return pa.table(out)
 
     P = auto_partitions(ds.count(), 2_000_000, num_partitions)
-    return (ds.select_columns([key, val_col] + carry)
-            .repartition(P, keys=[key])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.select_columns([key, val_col] + carry), [key],
+                      fold, P, ())
 
 
 def pareto_skyline_2d(ds, max_col: str, min_col: str, *,

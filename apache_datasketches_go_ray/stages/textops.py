@@ -366,11 +366,6 @@ def fingerprint_batch(batch: pa.Table, text_col: str = "text",
                                pa.array(out, type=pa.uint64()))
 
 
-def hamming_distance_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = (a ^ b).view(np.uint8).reshape(len(a), 8)
-    return np.unpackbits(x, axis=1).sum(axis=1)
-
-
 # BPE-ish pretokenizer: letter runs, digit runs, punctuation runs, each
 # with an optional leading space (GPT-2-style pretokenization shape).
 # RE2 syntax on purpose: pyarrow and DuckDB both run RE2, so the exact

@@ -2,11 +2,11 @@
 
 The reference library has no notion of ordering or time (SURVEY.md §2.6)
 — these are the net-new windowed aggregates a training-data pipeline
-needs, expressed with the engine's one co-locating primitive:
-``repartition(P, keys=[key])`` puts every row of a key in exactly one
-block, after which the window itself is a vectorized numpy kernel over
-the sorted block (lexsort + segment boundaries), never a Python loop
-per row.
+needs, expressed with the engine's one co-locating primitive,
+``keyed.keyed_fold``: a hash shuffle on the key puts every row of a key
+in exactly one block, the block arrives sorted by (key, order columns)
+with its segment starts, and the window itself is a vectorized numpy
+kernel over that block, never a Python loop per row.
 
 Scale notes: state per block is O(block rows); no global sort is ever
 taken — ordering only needs to hold *within* a key, so a hash shuffle
@@ -18,30 +18,29 @@ discipline as the LSH band stage; at transcript scale user keys are
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .arrow_util import as_array
 from .context import auto_partitions
+from .keyed import (keyed_fold, np_col, rank_in_segment, run_heads,
+                    segment_ends, segment_ids, sort_key)
 
 
 def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pc.round(pc.multiply(col, 100)).cast(pa.int64())
 
 
-def _sorted_key_segments(keys: np.ndarray, *order_cols: np.ndarray):
-    """lexsort rows by (key, *order_cols); return (order, seg_starts) where
-    seg_starts marks the first row of each key run in the sorted order."""
-    order = np.lexsort(tuple(reversed(order_cols)) + (keys,))
-    sk = keys[order]
-    first = np.empty(len(sk), dtype=bool)
-    if len(sk):
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-    return order, first
+def _project_fold(ds, cols, project, fold, num_partitions, order_by,
+                  keys=("k",)):
+    """select ``cols`` -> ``project`` -> keyed fold on ``keys``, with the
+    partition count sized to the input."""
+    P = auto_partitions(ds.count(), 200_000, num_partitions)
+    return keyed_fold(
+        ds.select_columns(cols).map_batches(
+            project, batch_format="pyarrow", zero_copy_batch=True),
+        keys, fold, P, order_by)
 
 
 def sessionize(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -65,23 +64,12 @@ def sessionize(ds, key_col: str = "user_id", ts_col: str = "ts",
             "cents": _cents(b.column(value_col)),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                "user_id": pa.array([], type=pa.int64()),
-                "session_no": pa.array([], type=pa.int64()),
-                "n_events": pa.array([], type=pa.int64()),
-                "start_ts": pa.array([], type=b.schema.field("ts").type),
-                "end_ts": pa.array([], type=b.schema.field("ts").type),
-                "sum_cents": pa.array([], type=pa.int64()),
-            })
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).cast(pa.int64()) \
+    def fold(b: pa.Table, starts) -> pa.Table:
+        ts_type = b.schema.field("ts").type
+        sts = as_array(b.column("ts")).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        cents = as_array(b.column("cents")).to_numpy(zero_copy_only=False)
-        order, first = _sorted_key_segments(k, ts, ids)
-        sts, scents = ts[order], cents[order]
+        first = np.zeros(len(sts), dtype=bool)
+        first[starts] = True
         new_s = first.copy()
         new_s[1:] |= (sts[1:] - sts[:-1]) > gap_us
         # session_no restarts at 1 per key: global cumsum minus the
@@ -90,29 +78,22 @@ def sessionize(ds, key_col: str = "user_id", ts_col: str = "ts",
         key_base = np.maximum.accumulate(np.where(first, sess - 1, 0))
         sess_in_key = sess - key_base
         # aggregate per session run (sessions are contiguous in order)
-        starts = np.flatnonzero(new_s)
-        ends = np.append(starts[1:], len(sts))
-        csum = np.concatenate([[0], np.cumsum(scents)])
-        ts_type = b.schema.field("ts").type
+        s_starts = np.flatnonzero(new_s)
+        ends = segment_ends(s_starts, len(sts))
+        csum = np.concatenate([[0], np.cumsum(np_col(b, "cents"))])
         return pa.table({
-            "user_id": pa.array(k[order][starts], type=pa.int64()),
-            "session_no": pa.array(sess_in_key[starts], type=pa.int64()),
-            "n_events": pa.array(ends - starts, type=pa.int64()),
-            "start_ts": pa.array(sts[starts], type=pa.int64())
+            "user_id": pa.array(np_col(b, "k")[s_starts], type=pa.int64()),
+            "session_no": pa.array(sess_in_key[s_starts], type=pa.int64()),
+            "n_events": pa.array(ends - s_starts, type=pa.int64()),
+            "start_ts": pa.array(sts[s_starts], type=pa.int64())
                 .cast(ts_type),
             "end_ts": pa.array(sts[ends - 1], type=pa.int64()).cast(ts_type),
-            "sum_cents": pa.array(csum[ends] - csum[starts],
+            "sum_cents": pa.array(csum[ends] - csum[s_starts],
                                   type=pa.int64()),
         })
 
-    P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
-        ds.select_columns([key_col, ts_col, id_col, value_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return _project_fold(ds, [key_col, ts_col, id_col, value_col], project,
+                         fold, num_partitions, ("ts", "id"))
 
 
 def running_sum(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -130,35 +111,21 @@ def running_sum(ds, key_col: str = "user_id", ts_col: str = "ts",
             "cents": _cents(b.column(value_col)),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        cents = as_array(b.column("cents")).to_numpy(zero_copy_only=False)
-        order, first = _sorted_key_segments(k, ts, ids)
-        run = np.cumsum(cents[order])
-        rowno = np.arange(1, len(order) + 1, dtype=np.int64)
+    def fold(b: pa.Table, starts) -> pa.Table:
+        run = np.cumsum(np_col(b, "cents"))
+        rowno = np.arange(1, len(b) + 1, dtype=np.int64)
         # subtract each key's prefix so run/rowno restart per key
-        seg_id = np.cumsum(first) - 1
-        base_run = np.concatenate([[0], run])[np.flatnonzero(first)][seg_id] \
-            if len(order) else run
-        base_row = rowno[np.flatnonzero(first)][seg_id] - 1 \
-            if len(order) else rowno
+        seg = segment_ids(starts, len(b))
+        base_run = np.concatenate([[0], run])[starts][seg]
         return pa.table({
-            "event_id": pa.array(ids[order], type=pa.int64()),
-            "user_id": pa.array(k[order], type=pa.int64()),
-            "row_no": pa.array(rowno - base_row, type=pa.int64()),
+            "event_id": b.column("id"),
+            "user_id": b.column("k"),
+            "row_no": pa.array(rowno - starts[seg], type=pa.int64()),
             "run_cents": pa.array(run - base_run, type=pa.int64()),
         })
 
-    P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
-        ds.select_columns([key_col, ts_col, id_col, value_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return _project_fold(ds, [key_col, ts_col, id_col, value_col], project,
+                         fold, num_partitions, ("ts", "id"))
 
 
 def lag_delta(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -180,39 +147,20 @@ def lag_delta(ds, key_col: str = "user_id", ts_col: str = "ts",
             "cents": _cents(b.column(value_col)),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                "event_id": pa.array([], type=pa.int64()),
-                "user_id": pa.array([], type=pa.int64()),
-                "prev_cents": pa.array([], type=pa.int64()),
-                "delta_cents": pa.array([], type=pa.int64()),
-            })
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        cents = as_array(b.column("cents")).to_numpy(zero_copy_only=False)
-        order, first = _sorted_key_segments(k, ts, ids)
-        sc = cents[order]
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sc = np_col(b, "cents")
         prev = np.empty_like(sc)
         prev[1:] = sc[:-1]
-        prev[0] = 0
-        prev[first] = 0
+        prev[starts] = 0
         return pa.table({
-            "event_id": pa.array(ids[order], type=pa.int64()),
-            "user_id": pa.array(k[order], type=pa.int64()),
+            "event_id": b.column("id"),
+            "user_id": b.column("k"),
             "prev_cents": pa.array(prev, type=pa.int64()),
             "delta_cents": pa.array(sc - prev, type=pa.int64()),
         })
 
-    P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
-        ds.select_columns([key_col, ts_col, id_col, value_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return _project_fold(ds, [key_col, ts_col, id_col, value_col], project,
+                         fold, num_partitions, ("ts", "id"))
 
 
 def time_window_sum(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -237,46 +185,26 @@ def time_window_sum(ds, key_col: str = "user_id", ts_col: str = "ts",
             "cents": _cents(b.column(value_col)),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                "event_id": pa.array([], type=pa.int64()),
-                "user_id": pa.array([], type=pa.int64()),
-                "win_n": pa.array([], type=pa.int64()),
-                "win_cents": pa.array([], type=pa.int64()),
-            })
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        cents = as_array(b.column("cents")).to_numpy(zero_copy_only=False)
-        order, first = _sorted_key_segments(k, ts, ids)
-        sts = ts[order]
-        n = len(order)
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], n)
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sts = np_col(b, "ts")
+        n = len(sts)
         lo = np.empty(n, dtype=np.int64)
         hi = np.empty(n, dtype=np.int64)
-        for s, e in zip(starts, ends):
+        for s, e in zip(starts, segment_ends(starts, n)):
             seg = sts[s:e]
             lo[s:e] = s + np.searchsorted(seg, seg - gap_us, side="left")
             hi[s:e] = s + np.searchsorted(seg, seg, side="right")
-        prefix = np.concatenate([[0], np.cumsum(cents[order])])
+        prefix = np.concatenate([[0], np.cumsum(np_col(b, "cents"))])
         return pa.table({
-            "event_id": pa.array(ids[order], type=pa.int64()),
-            "user_id": pa.array(k[order], type=pa.int64()),
+            "event_id": b.column("id"),
+            "user_id": b.column("k"),
             "win_n": pa.array(hi - lo, type=pa.int64()),
             "win_cents": pa.array(prefix[hi] - prefix[lo],
                                   type=pa.int64()),
         })
 
-    P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
-        ds.select_columns([key_col, ts_col, id_col, value_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return _project_fold(ds, [key_col, ts_col, id_col, value_col], project,
+                         fold, num_partitions, ("ts", "id"))
 
 
 def dense_rank_in_group(ds, key_col: str, order_col: str, id_col: str,
@@ -295,42 +223,20 @@ def dense_rank_in_group(ds, key_col: str, order_col: str, id_col: str,
             "id": b.column(id_col).cast(pa.int64()),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        v_type = b.schema.field("v").type if len(b.schema) else None
-        if len(b) == 0:
-            return pa.table({
-                id_col: pa.array([], type=pa.int64()),
-                key_col: pa.array([], type=pa.int64()),
-                order_col: pa.array([], type=v_type or pa.float64()),
-                "rnk": pa.array([], type=pa.int64()),
-            })
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        v = as_array(b.column("v")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        vv = -v if descending else v
-        order, first = _sorted_key_segments(k, vv, ids)
-        sv = vv[order]
-        chg = np.empty(len(sv), dtype=np.int64)
-        chg[0] = 1
-        chg[1:] = (sv[1:] != sv[:-1]) | first[1:]
-        dr = np.cumsum(chg)
-        seg_id = np.cumsum(first) - 1
-        base = dr[np.flatnonzero(first)][seg_id] - 1
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sv = np_col(b, "v")
+        dr = np.cumsum(run_heads(starts, sv))
+        base = dr[starts][segment_ids(starts, len(sv))] - 1
         return pa.table({
-            id_col: pa.array(ids[order], type=pa.int64()),
-            key_col: pa.array(k[order], type=pa.int64()),
-            order_col: pa.array(v[order], type=v_type),
+            id_col: b.column("id"),
+            key_col: b.column("k"),
+            order_col: b.column("v"),
             "rnk": pa.array(dr - base, type=pa.int64()),
         })
 
-    P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
-        ds.select_columns([key_col, order_col, id_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return _project_fold(ds, [key_col, order_col, id_col], project, fold,
+                         num_partitions,
+                         ("-v" if descending else "v", "id"))
 
 
 def sliding_window_sum(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -341,6 +247,7 @@ def sliding_window_sum(ds, key_col: str = "user_id", ts_col: str = "ts",
     row count of the trailing window. Same one-shuffle shape as
     running_sum; the window is a prefix-sum difference with the lower
     edge clamped to the key's first row — no per-row loop."""
+
     def project(b: pa.Table) -> pa.Table:
         return pa.table({
             "k": b.column(key_col).cast(pa.int64()),
@@ -349,40 +256,21 @@ def sliding_window_sum(ds, key_col: str = "user_id", ts_col: str = "ts",
             "cents": _cents(b.column(value_col)),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                "event_id": pa.array([], type=pa.int64()),
-                "user_id": pa.array([], type=pa.int64()),
-                "win_n": pa.array([], type=pa.int64()),
-                "win_cents": pa.array([], type=pa.int64()),
-            })
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        cents = as_array(b.column("cents")).to_numpy(zero_copy_only=False)
-        order, first = _sorted_key_segments(k, ts, ids)
-        n = len(order)
+    def fold(b: pa.Table, starts) -> pa.Table:
+        n = len(b)
         idx = np.arange(n, dtype=np.int64)
-        seg_start = idx[np.flatnonzero(first)][np.cumsum(first) - 1]
-        lo = np.maximum(idx - preceding, seg_start)
-        prefix = np.concatenate([[0], np.cumsum(cents[order])])
+        lo = np.maximum(idx - preceding, starts[segment_ids(starts, n)])
+        prefix = np.concatenate([[0], np.cumsum(np_col(b, "cents"))])
         return pa.table({
-            "event_id": pa.array(ids[order], type=pa.int64()),
-            "user_id": pa.array(k[order], type=pa.int64()),
+            "event_id": b.column("id"),
+            "user_id": b.column("k"),
             "win_n": pa.array(idx - lo + 1, type=pa.int64()),
             "win_cents": pa.array(prefix[idx + 1] - prefix[lo],
                                   type=pa.int64()),
         })
 
-    P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
-        ds.select_columns([key_col, ts_col, id_col, value_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return _project_fold(ds, [key_col, ts_col, id_col, value_col], project,
+                         fold, num_partitions, ("ts", "id"))
 
 
 def share_of_group(ds, key_col: str = "user_id", id_col: str = "event_id",
@@ -400,41 +288,21 @@ def share_of_group(ds, key_col: str = "user_id", id_col: str = "event_id",
             "cents": _cents(b.column(value_col)),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                id_col: pa.array([], type=pa.int64()),
-                key_col: pa.array([], type=pa.int64()),
-                "cents": pa.array([], type=pa.int64()),
-                "group_cents": pa.array([], type=pa.int64()),
-                "share_ppm": pa.array([], type=pa.int64()),
-            })
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        cents = as_array(b.column("cents")).to_numpy(zero_copy_only=False)
-        order, first = _sorted_key_segments(k, ids)
-        sc = cents[order]
-        seg_id = np.cumsum(first) - 1
-        totals = np.add.reduceat(sc, np.flatnonzero(first))
-        gt = totals[seg_id]
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sc = np_col(b, "cents")
+        gt = np.add.reduceat(sc, starts)[segment_ids(starts, len(sc))]
         share = np.where(gt != 0, (sc * 1_000_000) // np.where(
             gt == 0, 1, gt), 0)
         return pa.table({
-            id_col: pa.array(ids[order], type=pa.int64()),
-            key_col: pa.array(k[order], type=pa.int64()),
-            "cents": pa.array(sc, type=pa.int64()),
+            id_col: b.column("id"),
+            key_col: b.column("k"),
+            "cents": b.column("cents"),
             "group_cents": pa.array(gt, type=pa.int64()),
             "share_ppm": pa.array(share, type=pa.int64()),
         })
 
-    P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
-        ds.select_columns([key_col, id_col, value_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return _project_fold(ds, [key_col, id_col, value_col], project, fold,
+                         num_partitions, ("id",))
 
 
 def cume_dist_in_group(ds, key_col: str, value_col: str, id_col: str,
@@ -453,47 +321,25 @@ def cume_dist_in_group(ds, key_col: str, value_col: str, id_col: str,
             "id": b.column(id_col).cast(pa.int64()),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        v_type = b.schema.field("v").type if len(b.schema) else None
-        if len(b) == 0:
-            return pa.table({
-                id_col: pa.array([], type=pa.int64()),
-                key_col: pa.array([], type=pa.int64()),
-                value_col: pa.array([], type=v_type or pa.float64()),
-                "cume": pa.array([], type=pa.float64()),
-            })
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        v = as_array(b.column("v")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        order, first = _sorted_key_segments(k, v, ids)
-        sv = v[order]
-        n = len(order)
-        chg = first.copy()
-        chg[1:] |= sv[1:] != sv[:-1]
-        run_id = np.cumsum(chg) - 1
-        run_starts = np.flatnonzero(chg)
-        run_last = np.append(run_starts[1:], n) - 1
-        last_idx = run_last[run_id]
-        seg_id = np.cumsum(first) - 1
-        seg_starts = np.flatnonzero(first)
-        seg_len = np.diff(np.append(seg_starts, n))
-        cume = (last_idx - seg_starts[seg_id] + 1).astype(np.float64) \
-            / seg_len[seg_id].astype(np.float64)
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sv = np_col(b, "v")
+        n = len(sv)
+        run_starts = np.flatnonzero(run_heads(starts, sv))
+        last_idx = (segment_ends(run_starts, n) - 1)[
+            segment_ids(run_starts, n)]
+        seg = segment_ids(starts, n)
+        seg_len = np.diff(np.append(starts, n))
+        cume = (last_idx - starts[seg] + 1).astype(np.float64) \
+            / seg_len[seg].astype(np.float64)
         return pa.table({
-            id_col: pa.array(ids[order], type=pa.int64()),
-            key_col: pa.array(k[order], type=pa.int64()),
-            value_col: pa.array(v[order], type=v_type),
+            id_col: b.column("id"),
+            key_col: b.column("k"),
+            value_col: b.column("v"),
             "cume": pa.array(cume, type=pa.float64()),
         })
 
-    P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
-        ds.select_columns([key_col, value_col, id_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return _project_fold(ds, [key_col, value_col, id_col], project, fold,
+                         num_partitions, ("v", "id"))
 
 
 def debounce(ds, key_cols: list[str], ts_col: str = "ts",
@@ -517,64 +363,38 @@ def debounce(ds, key_cols: list[str], ts_col: str = "ts",
         cols["id"] = b.column(id_col).cast(pa.int64())
         return pa.table(cols)
 
-    def fold(b: pa.Table) -> pa.Table:
-        ts_type = pa.timestamp("us")
-        if len(b) == 0:
-            out = {c: pa.array([], type=pa.string()) for c in key_cols}
-            out[id_col] = pa.array([], type=pa.int64())
-            out[ts_col] = pa.array([], type=ts_type)
-            return pa.table(out)
-        karrs = [as_array(b.column(f"k{i}"))
-                 for i in range(len(key_cols))]
-        # per-column dictionary codes (struct encode has no kernel);
-        # a segment starts when ANY key column changes
-        kcodes = [
-            pc.dictionary_encode(a).indices
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-            if pa.types.is_string(a.type) or pa.types.is_large_string(
-                a.type)
-            else a.to_numpy(zero_copy_only=False).astype(np.int64)
-            for a in karrs
-        ]
-        ts = as_array(b.column("ts")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts, *reversed(kcodes)))
-        first = np.zeros(len(order), dtype=bool)
-        first[0] = True
-        for kc in kcodes:
-            sk = kc[order]
-            first[1:] |= sk[1:] != sk[:-1]
-        sts = ts[order]
-        n = len(order)
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sts = np_col(b, "ts")
+        n = len(sts)
+        first = np.zeros(n, dtype=bool)
+        first[starts] = True
+        for i in range(1, len(key_cols)):
+            kc = sort_key(b.column(f"k{i}"))
+            first[1:] |= kc[1:] != kc[:-1]
         keep = np.zeros(n, dtype=bool)
         # per segment: greedy scan — kept rows are >= gap apart. Runs
         # python-loop per *kept row*, bounded by n/„gap density", and
         # vectorized between kept rows via searchsorted jumps.
         starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], n)
-        for s, e in zip(starts, ends):
+        for s, e in zip(starts, segment_ends(starts, n)):
             i = s
             while i < e:
                 keep[i] = True
                 # next candidate: first index with ts >= ts[i] + gap
                 i = s + np.searchsorted(sts[s:e], sts[i] + gap_us,
                                         side="left")
-        sel = order[keep]
-        out = {}
-        for c, arr in zip(key_cols, karrs):
-            out[c] = arr.take(pa.array(sel, type=pa.int64()))
-        out[id_col] = pa.array(ids[sel], type=pa.int64())
-        out[ts_col] = pa.array(ts[sel], type=pa.int64()).cast(ts_type)
+        kept = b.filter(pa.array(keep))
+        out = {c: kept.column(f"k{i}") for i, c in enumerate(key_cols)}
+        out[id_col] = kept.column("id")
+        out[ts_col] = kept.column("ts").cast(pa.timestamp("us"))
         return pa.table(out)
 
-    P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
-        ds.select_columns([*key_cols, ts_col, id_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k0"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    # shuffled on k0 alone and sorted by every key column; a segment
+    # starts when ANY key column changes
+    return _project_fold(ds, [*key_cols, ts_col, id_col], project, fold,
+                         num_partitions,
+                         (*[f"k{i}" for i in range(1, len(key_cols))],
+                          "ts", "id"), keys=["k0"])
 
 
 def lead_delta(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -593,41 +413,22 @@ def lead_delta(ds, key_col: str = "user_id", ts_col: str = "ts",
             "cents": _cents(b.column(value_col)),
         })
 
-    def fold(b):
-        if len(b) == 0:
-            return pa.table({
-                "event_id": pa.array([], type=pa.int64()),
-                "user_id": pa.array([], type=pa.int64()),
-                "next_cents": pa.array([], type=pa.int64()),
-                "delta_cents": pa.array([], type=pa.int64()),
-            })
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        cents = as_array(b.column("cents")).to_numpy(zero_copy_only=False)
-        order, first = _sorted_key_segments(k, ts, ids)
-        sc = cents[order]
+    def fold(b, starts):
+        sc = np_col(b, "cents")
         nxt = np.empty_like(sc)
         nxt[:-1] = sc[1:]
         nxt[-1] = 0
         # a segment's last row is the row BEFORE the next segment start
-        if len(first) > 1:
-            nxt[:-1][first[1:]] = 0
+        nxt[starts[1:] - 1] = 0
         return pa.table({
-            "event_id": pa.array(ids[order], type=pa.int64()),
-            "user_id": pa.array(k[order], type=pa.int64()),
+            "event_id": b.column("id"),
+            "user_id": b.column("k"),
             "next_cents": pa.array(nxt, type=pa.int64()),
             "delta_cents": pa.array(nxt - sc, type=pa.int64()),
         })
 
-    P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
-        ds.select_columns([key_col, ts_col, id_col, value_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return _project_fold(ds, [key_col, ts_col, id_col, value_col], project,
+                         fold, num_partitions, ("ts", "id"))
 
 
 def trailing_distinct_by_day(ds, ts_col: str = "ts",
@@ -700,35 +501,24 @@ def trailing_distinct_by_day(ds, ts_col: str = "ts",
         return pa.table({"day_us": pa.array(tgt[keep], type=pa.int64()),
                          "id": pa.array(rid[keep], type=pa.int64())})
 
-    def count_partial(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({"day_us": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64())})
+    def count_partial(b: pa.Table, _) -> pa.Table:
         d = b.group_by(["day_us", "id"]).aggregate([])
         g = d.group_by("day_us").aggregate([("id", "count")])
         return pa.table({"day_us": g.column("day_us"),
                          "n": g.column("id_count").cast(pa.int64())})
 
-    def fold(b: pa.Table) -> pa.Table:
-        out_day = pa.array([], type=pa.timestamp("us"))
-        out_n = pa.array([], type=pa.int64())
-        if len(b):
-            g = b.group_by("day_us").aggregate([("n", "sum")])
-            out_day = g.column("day_us").cast(pa.timestamp("us"))
-            out_n = g.column("n_sum").cast(pa.int64())
-        return pa.table({"day": out_day, "n_users": out_n})
+    def fold(b: pa.Table, _) -> pa.Table:
+        g = b.group_by("day_us").aggregate([("n", "sum")])
+        return pa.table({"day": g.column("day_us").cast(pa.timestamp("us")),
+                         "n_users": g.column("n_sum").cast(pa.int64())})
 
     P = auto_partitions(pre_ds.count(), 500_000, num_partitions)
-    return (
+    counts = keyed_fold(
         pre_ds.map_batches(expand, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(P, keys=["day_us", "id"])
-        .map_batches(count_partial, batch_format="pyarrow",
-                     batch_size=None, zero_copy_batch=True)
-        .repartition(min(4, P), keys=["day_us"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+                           zero_copy_batch=True),
+        ["day_us", "id"], count_partial,
+        P, None)
+    return keyed_fold(counts, ["day_us"], fold, min(4, P), None)
 
 
 def resample_ffill(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -760,29 +550,10 @@ def resample_ffill(ds, key_col: str = "user_id", ts_col: str = "ts",
             cols["__tie"] = b.column(tie_col).cast(pa.int64())
         return pa.table(cols)
 
-    def fold(b: pa.Table) -> pa.Table:
-        ts_type = pa.timestamp("us")
-        if len(b) == 0:
-            return pa.table({
-                key_col: pa.array([], type=pa.int64()),
-                "hour": pa.array([], type=ts_type),
-                f"last_{val_col}": pa.array([], type=pa.int64()),
-            })
-        k = b.column(key_col).to_numpy(zero_copy_only=False)
-        ts = b.column("__ts").to_numpy(zero_copy_only=False)
-        v = b.column(val_col).to_numpy(zero_copy_only=False)
-        if tie_col is not None:
-            tie = b.column("__tie").to_numpy(zero_copy_only=False)
-            order = np.lexsort((tie, ts, k))
-        else:
-            order = np.lexsort((ts, k))
-        ks, tss, vs = k[order], ts[order], v[order]
-        first = np.empty(len(ks), dtype=bool)
-        first[0] = True
-        np.not_equal(ks[1:], ks[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
+    def fold(b: pa.Table, starts) -> pa.Table:
+        ks, tss = np_col(b, key_col), np_col(b, "__ts")
         lens = np.diff(np.append(starts, len(ks)))
-        ucode = np.cumsum(first) - 1  # block-local dense key codes
+        ucode = segment_ids(starts, len(ks))  # block-local dense key codes
         n_keys = len(starts)
         base = tss[starts]  # per-key min ts
         rel = tss - base[ucode]
@@ -808,16 +579,15 @@ def resample_ffill(ds, key_col: str = "user_id", ts_col: str = "ts",
         keep = valid & (idx >= 0)
         return pa.table({
             key_col: pa.array(ks[starts][gk[keep]]),
-            "hour": pa.array(g_ts[keep]).cast(ts_type),
-            f"last_{val_col}": pa.array(vs[idx[keep]]),
+            "hour": pa.array(g_ts[keep]).cast(pa.timestamp("us")),
+            f"last_{val_col}": pa.array(np_col(b, val_col)[idx[keep]]),
         })
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (ds.map_batches(project, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(P, keys=[key_col])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        [key_col], fold, P,
+        ("__ts", "__tie") if tie_col is not None else ("__ts",))
 
 
 def retention_cohorts(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -840,27 +610,11 @@ def retention_cohorts(ds, key_col: str = "user_id", ts_col: str = "ts",
                 .cast(pa.int64()),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                "cohort_week": pa.array([], type=pa.int64()),
-                "week": pa.array([], type=pa.int64()),
-                "n_users": pa.array([], type=pa.int64()),
-            })
-        k = b.column(key_col).to_numpy(zero_copy_only=False)
-        ts = b.column("__ts").to_numpy(zero_copy_only=False)
-        week = (ts - ep) // day_us // week_days
-        order = np.lexsort((week, k))
-        ks, ws = k[order], week[order]
-        newk = np.empty(len(ks), dtype=bool)
-        newk[0] = True
-        np.not_equal(ks[1:], ks[:-1], out=newk[1:])
-        # distinct (key, week) rows
-        dk = newk.copy()
-        dk[1:] |= ws[1:] != ws[:-1]
-        cohort = ws[np.flatnonzero(newk)]  # first week per key
-        kcode = np.cumsum(newk) - 1
-        pairs_c = cohort[kcode[dk]]
+    def fold(b: pa.Table, starts) -> pa.Table:
+        ws = (np_col(b, "__ts") - ep) // day_us // week_days
+        dk = run_heads(starts, ws)  # distinct (key, week) rows
+        cohort = ws[starts]  # first week per key
+        pairs_c = cohort[segment_ids(starts, len(ws))[dk]]
         pairs_w = ws[dk]
         key2 = pairs_c * (1 << 20) + pairs_w
         uk, cnt = np.unique(key2, return_counts=True)
@@ -882,11 +636,10 @@ def retention_cohorts(ds, key_col: str = "user_id", ts_col: str = "ts",
         })
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (ds.map_batches(project, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(P, keys=[key_col])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    # the week is a pure function of ts, so a ts order is a week order
+    return (keyed_fold(ds.map_batches(project, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                       [key_col], fold, P, ("__ts",))
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
@@ -919,19 +672,10 @@ def churn_by_week(ds, key_col: str = "user_id", ts_col: str = "ts", *,
         "n_users": pa.array([], type=pa.int64()),
     })
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _empty
-        k = b.column(key_col).to_numpy(zero_copy_only=False)
-        ts = b.column("__ts").to_numpy(zero_copy_only=False)
-        week = (ts - ep) // day_us // week_days
-        order = np.lexsort((week, k))
-        ks, ws = k[order], week[order]
-        newk = np.empty(len(ks), dtype=bool)
-        newk[0] = True
-        np.not_equal(ks[1:], ks[:-1], out=newk[1:])
-        keep = newk.copy()  # distinct (key, week)
-        keep[1:] |= ws[1:] != ws[:-1]
+    def fold(b: pa.Table, starts) -> pa.Table:
+        ks = np_col(b, key_col)
+        ws = (np_col(b, "__ts") - ep) // day_us // week_days
+        keep = run_heads(starts, ws)  # distinct (key, week)
         ks, ws = ks[keep], ws[keep]
         firstk = np.empty(len(ks), dtype=bool)
         firstk[0] = True
@@ -967,11 +711,10 @@ def churn_by_week(ds, key_col: str = "user_id", ts_col: str = "ts", *,
         })
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (ds.map_batches(project, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(P, keys=[key_col])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
+    # the week is a pure function of ts, so a ts order is a week order
+    return (keyed_fold(ds.map_batches(project, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                       [key_col], fold, P, ("__ts",))
             .repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None,
                          zero_copy_batch=True))
@@ -990,52 +733,29 @@ def rolling_quantile(ds, key_col: str, ts_col: str, val_col: str, *,
     once along axis 1 and gathers per-row indices — O(n * w log w)
     fully vectorized, no per-row Python."""
 
-    def fold(b: pa.Table) -> pa.Table:
-        kt = b.schema.field(key_col).type if key_col in b.schema.names \
-            else pa.int64()
-        if len(b) == 0:
-            cols = {key_col: pa.array([], type=kt),
-                    ts_col: pa.array([], type=pa.timestamp("us"))}
-            if tie_col:
-                cols[tie_col] = pa.array([], type=pa.int64())
-            cols["rolling_q"] = pa.array([], type=pa.int64())
-            return pa.table(cols)
-        k = b.column(key_col).to_numpy(zero_copy_only=False)
-        ts = b.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        v = b.column(val_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        tie = (b.column(tie_col).to_numpy(zero_copy_only=False)
-               if tie_col else np.arange(len(k)))
-        order = np.lexsort((tie, ts, k))
-        sk, sts, sv = k[order], ts[order], v[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        grp_start = np.maximum.accumulate(
-            np.where(first, np.arange(len(sk)), 0))
-        pos = np.arange(len(sk)) - grp_start          # 0-based in group
+    def fold(b: pa.Table, starts) -> pa.Table:
+        sv = np_col(b, val_col).astype(np.int64)
+        n = len(sv)
+        pos = rank_in_segment(starts, n)
         n_in = np.minimum(pos + 1, window)
         # staircase: column j of row i holds sv[i - j] for j < n_in[i]
         j = np.arange(window)
-        src = np.arange(len(sk))[:, None] - j[None, :]
-        pad = src < (np.arange(len(sk)) - n_in + 1)[:, None]
+        src = np.arange(n)[:, None] - j[None, :]
+        pad = src < (np.arange(n) - n_in + 1)[:, None]
         mat = sv[np.maximum(src, 0)]
         big = np.int64(np.iinfo(np.int64).max)
         mat[pad] = big                                 # sorts last
         mat.sort(axis=1)
         qi = np.floor(q * (n_in - 1)).astype(np.int64)
-        out = mat[np.arange(len(sk)), qi]
-        cols = {key_col: pa.array(sk),
-                ts_col: pa.array(sts).cast(pa.timestamp("us"))}
+        out = mat[np.arange(n), qi]
+        cols = {key_col: b.column(key_col),
+                ts_col: b.column(ts_col).cast(pa.timestamp("us"))}
         if tie_col:
-            cols[tie_col] = pa.array(tie[order].astype(np.int64))
+            cols[tie_col] = b.column(tie_col).cast(pa.int64())
         cols["rolling_q"] = pa.array(out, type=pa.int64())
         return pa.table(cols)
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
     cols = [key_col, ts_col, val_col] + ([tie_col] if tie_col else [])
-    return (ds.select_columns(cols)
-            .repartition(P, keys=[key_col])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.select_columns(cols), [key_col], fold, P,
+                      (ts_col, tie_col) if tie_col else (ts_col,))

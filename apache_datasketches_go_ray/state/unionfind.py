@@ -39,34 +39,6 @@ class UnionFind:
         return {x: self.find(x) for x in list(self.parent)}
 
 
-def connected_components_labels(edges_a, edges_b) -> dict:
-    """Components over an edge list; labels are min member ids."""
-    uf = UnionFind()
-    for a, b in zip(edges_a, edges_b):
-        uf.union(a, b)
-    return uf.components()
-
-
-def label_propagation_round(
-    labels: dict, edges_a: np.ndarray, edges_b: np.ndarray
-) -> tuple[dict, int]:
-    """One synchronous min-label propagation round (testing aid mirroring
-    the distributed exchange)."""
-    new = dict(labels)
-    changed = 0
-    for a, b in zip(edges_a, edges_b):
-        la = new.get(a, a)
-        lb = new.get(b, b)
-        m = min(la, lb)
-        if la != m:
-            new[a] = m
-            changed += 1
-        if lb != m:
-            new[b] = m
-            changed += 1
-    return new, changed
-
-
 def connected_components_numpy(u: np.ndarray, v: np.ndarray,
                                k: int) -> np.ndarray:
     """Vectorized connected components over integer-coded edges.

@@ -3,6 +3,9 @@ oracle_sql() side-by-side on an sf dir, compare row count, schema width
 and order-insensitive values.
 
 Usage: python tools/check_oracle.py [sf_dir] [query ...]
+
+GRAFT_CHECK_CPUS sets the Ray session's logical CPUs (default 8, at
+least 2).
 """
 
 import os
@@ -38,6 +41,11 @@ def main():
 
     if not ray.is_initialized():
         ncpu = int(os.environ.get("GRAFT_CHECK_CPUS", "8"))
+        if ncpu < 2:
+            # a hash shuffle's aggregator actors hold the only CPU, so
+            # the map tasks feeding them never run: the sweep hangs
+            sys.exit(f"GRAFT_CHECK_CPUS={ncpu}: the oracle check needs at "
+                     "least 2 Ray CPUs (a hash shuffle on 1 CPU hangs)")
         ray.init(address="local", num_cpus=ncpu, include_dashboard=False)
     import apache_datasketches_go_ray  # noqa: F401 (hash shuffle ctx)
     import __ray_entry__ as entrymod
