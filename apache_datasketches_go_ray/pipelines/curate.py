@@ -29,6 +29,7 @@ import ray.data
 
 from ..config import DedupConfig
 from ..stages.context import auto_partitions, ensure_hash_shuffle
+from ..stages.keyed import keyed_fold
 from ..stages.textops import langid_batch, quality_stats_batch
 from .base import CheckpointedPipeline
 
@@ -173,16 +174,14 @@ class CuratePipeline(CheckpointedPipeline):
 
         exact, fp = self._stage(
             "exact_dedup", fp,
-            lambda: filtered.map_batches(
-                functools.partial(_exact_key, id_col=id_col,
-                                  text_col=text_col),
-                batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(P, keys=["__th"])
-            .map_batches(
-                functools.partial(_exact_keep_first, id_col=id_col,
-                                  text_col=text_col),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True))
+            lambda: keyed_fold(
+                filtered.map_batches(
+                    functools.partial(_exact_key, id_col=id_col,
+                                      text_col=text_col),
+                    batch_format="pyarrow", zero_copy_batch=True),
+                ["__th"],
+                lambda b, _starts: _exact_keep_first(b, id_col, text_col),
+                P, order_by=None))
 
         # near-dedup over the exact-deduped survivors: reuse the
         # transcript dedup machinery on (id, text) rows

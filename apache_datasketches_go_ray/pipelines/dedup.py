@@ -128,7 +128,7 @@ class DedupPipeline(CheckpointedPipeline):
 
     # ---- pipeline ---------------------------------------------------------
     def run(self, transcripts_ds, *, input_fingerprint: str = "",
-            signer_concurrency=None, input_paths=None):
+            input_paths=None):
         cfg, chain = self.cfg, self.chain
         t_start = time.time()
         # regime-gated block cap: small blocks raise map parallelism in
@@ -166,8 +166,7 @@ class DedupPipeline(CheckpointedPipeline):
         # containment pass pulls just the texts it needs from there
         signatures, fp = self._stage(
             "signatures", fp,
-            lambda: sign(assembled, cfg, concurrency=signer_concurrency,
-                         keep_text=False),
+            lambda: sign(assembled, cfg, keep_text=False),
         )
         sigs, band_filter, new_ids_ref = signatures, None, None
         if chain:

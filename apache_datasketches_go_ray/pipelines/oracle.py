@@ -71,7 +71,7 @@ def oracle_dedup(table: pa.Table, cfg: DedupConfig) -> dict:
     idx_by_id = {c: i for i, c in enumerate(ids)}
 
     # hot-band detection + salted sharding — identical rules to
-    # stages/lsh.detect_hot_bands / pairs_and_reps_in_block
+    # stages/lsh.detect_hot_bands / pairs_in_block
     from ..functions.murmur3 import hash_strings
 
     h_ids, _ = hash_strings(list(ids))

@@ -20,6 +20,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..stages.keyed import keyed_fold, next_in_segment, np_col
+
 CANONICAL_SCHEMA = pa.schema([
     ("conv_id", pa.string()),
     ("turn_idx", pa.int32()),
@@ -226,52 +228,39 @@ def detect_input_layout(paths, num_partitions: int = 16) -> str:
     rows = rows.drop_columns(["path", "within_ok"]).append_column(
         "file_idx", pa.array(fi))
 
-    def check(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({"bad": pa.array([], type=pa.int64())})
-        h = b.column("h").to_numpy(zero_copy_only=False)
-        f = b.column("file_idx").to_numpy(zero_copy_only=False)
-        mn = b.column("min_turn").to_numpy(zero_copy_only=False)
-        mx = b.column("max_turn").to_numpy(zero_copy_only=False)
-        st = b.column("at_start").to_numpy(zero_copy_only=False)
-        en = b.column("at_end").to_numpy(zero_copy_only=False)
-        order = np.lexsort((f, h))
-        h, f, mn, mx, st, en = (a[order] for a in (h, f, mn, mx, st, en))
-        same = np.zeros(len(h), dtype=bool)
-        same[1:] = h[1:] == h[:-1]
-        # pairs of consecutive appearances of the same conv
-        bad = 0
-        idx = np.flatnonzero(same)
-        if len(idx):
-            prev = idx - 1
-            ok_pair = (
-                (f[idx] == f[prev] + 1)      # consecutive files
-                & en[prev] & st[idx]         # leaves at end, enters at start
-                & (mx[prev] <= mn[idx])      # turn ranges nondecreasing
-            )
-            bad += int((~ok_pair).sum())
-        return pa.table({"bad": pa.array([bad], type=pa.int64())})
+    def check(b: pa.Table, starts) -> pa.Table:
+        f, mn, mx, st, en = (np_col(b, c) for c in (
+            "file_idx", "min_turn", "max_turn", "at_start", "at_end"))
+        # consecutive appearances of the same conv, in file order
+        idx = np.flatnonzero(next_in_segment(starts, len(b))) + 1
+        prev = idx - 1
+        ok_pair = (
+            (f[idx] == f[prev] + 1)      # consecutive files
+            & en[prev] & st[idx]         # leaves at end, enters at start
+            & (mx[prev] <= mn[idx])      # turn ranges nondecreasing
+        )
+        return pa.table({"bad": pa.array([int((~ok_pair).sum())],
+                                         type=pa.int64())})
 
     import ray.data as rd
 
     bad_total = sum(
-        r["bad"] for r in rd.from_arrow(rows)
-        .repartition(num_partitions, keys=["h"])
-        .map_batches(check, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True).take_all())
+        r["bad"] for r in keyed_fold(
+            rd.from_arrow(rows), ["h"], check, num_partitions,
+            order_by=["file_idx"]).take_all())
     return "shuffled" if bad_total else "conv_grouped"
 
 
 def rewrite_conv_grouped(input_path, output_path: str, *,
                          num_partitions: int = 64) -> int:
     """One-time corpus re-sort to the conv-contiguous at-rest layout:
-    hash-partition on conv_id (every conversation lands WHOLE in one
-    shard) and lexsort each shard by (conv_id, turn_idx) before
-    writing. The output provably satisfies detect_input_layout's
-    conv_grouped contract — each conv appears in exactly one file as
-    one sorted run — so every later dedup/assembly run takes the fast
-    path (measured 2.6x on the assemble stage) for the one-time cost of
-    a single keyed shuffle. Returns the row count written."""
+    one keyed fold on conv_id (every conversation lands WHOLE in one
+    shard, sorted by (conv_id, turn_idx)) before writing. The output
+    provably satisfies detect_input_layout's conv_grouped contract —
+    each conv appears in exactly one file as one sorted run — so every
+    later dedup/assembly run takes the fast path (measured 2.6x on the
+    assemble stage) for the one-time cost of a single keyed shuffle.
+    Returns the row count written."""
     from ..stages.context import auto_partitions, ensure_hash_shuffle
 
     ensure_hash_shuffle()
@@ -279,22 +268,6 @@ def rewrite_conv_grouped(input_path, output_path: str, *,
     n = ds.count()
     P = auto_partitions(n, 100_000, num_partitions)
 
-    def sort_block(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return b
-        conv = b.column("conv_id")
-        if isinstance(conv, pa.ChunkedArray):
-            conv = conv.combine_chunks()
-        d = pc.dictionary_encode(conv)
-        if isinstance(d, pa.ChunkedArray):
-            d = d.combine_chunks()
-        codes = d.indices.to_numpy(zero_copy_only=False)
-        tidx = b.column("turn_idx").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tidx, codes))
-        return b.take(pa.array(order))
-
-    (ds.repartition(P, keys=["conv_id"])
-       .map_batches(sort_block, batch_format="pyarrow", batch_size=None,
-                    zero_copy_batch=True)
-       .write_parquet(output_path))
+    keyed_fold(ds, ["conv_id"], lambda b, _starts: b, P,
+               order_by=["turn_idx"]).write_parquet(output_path)
     return n

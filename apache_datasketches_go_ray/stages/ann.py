@@ -16,6 +16,7 @@ import ray
 
 from .arrow_util import as_array
 from ..functions.murmur3 import fmix64
+from .keyed import keyed_fold, np_col, segment_ends
 
 
 def _embeddings_matrix(batch: pa.Table, col: str) -> np.ndarray:
@@ -138,46 +139,32 @@ def embedding_near_dup_pairs(ds, threshold: float = 0.95, n_planes: int = 8,
     Recall is bucket-limited (the documented LSH tradeoff)."""
     bucketed = lsh_bucket_embeddings(ds, n_planes, id_col, emb_col)
 
-    def fold(batch: pa.Table) -> pa.Table:
+    def fold(batch: pa.Table, starts) -> pa.Table:
         out_a, out_b, out_s = [], [], []
-        if len(batch):
-            ids = as_array(batch.column(id_col)).to_numpy(zero_copy_only=False)
-            bucket = as_array(batch.column("bucket")).to_numpy(zero_copy_only=False)
-            m = _embeddings_matrix(batch, emb_col).astype(np.float64)
-            norms = np.linalg.norm(m, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            mn = m / norms
-            order = np.argsort(bucket, kind="stable")
-            b_s = bucket[order]
-            newgrp = np.ones(len(b_s), dtype=bool)
-            if len(b_s) > 1:
-                newgrp[1:] = b_s[1:] != b_s[:-1]
-            starts = np.flatnonzero(newgrp)
-            ends = np.concatenate([starts[1:], [len(b_s)]])
-            for s, e in zip(starts, ends):
-                if e - s < 2:
-                    continue
-                idx = order[s:e]
-                sub = mn[idx]
-                sc = sub @ sub.T
-                ii, jj = np.triu_indices(len(idx), k=1)
-                hits = sc[ii, jj] >= threshold
-                for x, y, v in zip(ii[hits], jj[hits], sc[ii, jj][hits]):
-                    a, b = int(ids[idx[x]]), int(ids[idx[y]])
-                    if a > b:
-                        a, b = b, a
-                    out_a.append(a)
-                    out_b.append(b)
-                    out_s.append(round(float(v), round_to))
+        ids = np_col(batch, id_col)
+        m = _embeddings_matrix(batch, emb_col).astype(np.float64)
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        mn = m / norms
+        for s, e in zip(starts, segment_ends(starts, len(batch))):
+            if e - s < 2:
+                continue
+            sub = mn[s:e]
+            sc = sub @ sub.T
+            ii, jj = np.triu_indices(e - s, k=1)
+            hits = sc[ii, jj] >= threshold
+            for x, y, v in zip(ii[hits], jj[hits], sc[ii, jj][hits]):
+                a, b = int(ids[s + x]), int(ids[s + y])
+                if a > b:
+                    a, b = b, a
+                out_a.append(a)
+                out_b.append(b)
+                out_s.append(round(float(v), round_to))
         return pa.table({"id_a": pa.array(out_a, type=pa.int64()),
                          "id_b": pa.array(out_b, type=pa.int64()),
                          "cosine": pa.array(out_s, type=pa.float64())})
 
-    return (
-        bucketed.repartition(num_partitions, keys=["bucket"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(bucketed, ["bucket"], fold, num_partitions)
 
 
 def semantic_dedup(ds, threshold: float = 0.95, n_clusters: int = 16,
@@ -226,30 +213,18 @@ def semantic_dedup(ds, threshold: float = 0.95, n_clusters: int = 16,
             "cluster": pa.array(cl, type=pa.int64()),
         })
 
-    def prune(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({id_col: pa.array([], type=pa.int64()),
-                             "cluster": pa.array([], type=pa.int64()),
-                             "keep": pa.array([], type=pa.bool_())})
-        ids = as_array(batch.column(id_col)).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        cl = as_array(batch.column("cluster")).to_numpy(
-            zero_copy_only=False).astype(np.int64)
+    def prune(batch: pa.Table, starts) -> pa.Table:
+        ids = np_col(batch, id_col).astype(np.int64)
+        cl = np_col(batch, "cluster").astype(np.int64)
         m = _embeddings_matrix(batch, emb_col).astype(np.float64)
         norms = np.linalg.norm(m, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         mn = m / norms
-        order = np.lexsort((ids, cl))
         keep = np.ones(len(batch), dtype=bool)
-        grp = cl[order]
-        starts = np.concatenate(
-            [[0], np.flatnonzero(np.diff(grp)) + 1])
-        ends = np.concatenate([starts[1:], [len(grp)]])
-        for s, e in zip(starts, ends):
+        for s, e in zip(starts, segment_ends(starts, len(batch))):
             if e - s < 2:
                 continue
-            idx = order[s:e]           # ascending id within cluster
-            sub = mn[idx]
+            sub = mn[s:e]              # ascending id within cluster
             for c0 in range(1, e - s, chunk):
                 c1 = min(c0 + chunk, e - s)
                 # cols c0:c1 vs all strictly-lower rows
@@ -257,18 +232,17 @@ def semantic_dedup(ds, threshold: float = 0.95, n_clusters: int = 16,
                 rows = np.arange(c1)[:, None]
                 cols = np.arange(c0, c1)[None, :]
                 dup = ((sims >= threshold) & (rows < cols)).any(axis=0)
-                keep[idx[c0:c1][dup]] = False
+                keep[s + c0:s + c1][dup] = False
         return pa.table({
             id_col: pa.array(ids, type=pa.int64()),
             "cluster": pa.array(cl, type=pa.int64()),
             "keep": pa.array(keep),
         })
 
-    return (ds.map_batches(assign, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(num_partitions, keys=["cluster"])
-            .map_batches(prune, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        ds.map_batches(assign, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["cluster"], prune, num_partitions, order_by=[id_col])
 
 
 class _LshTopkPartial:
@@ -606,16 +580,13 @@ def knn_join(corpus_ds, query_ds, k: int = 10,
                                 "rank": pa.array([], type=pa.int64())}),
             batch_format="pyarrow", zero_copy_batch=True)
     n_cpu = int(ray.cluster_resources().get("CPU", 4))
-    import functools
-
-    return (corpus_ds.map_batches(
-        _KnnChunkScan, fn_constructor_args=(refs, k, id_col, emb_col),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, max(2, n_cpu)))
-        .repartition(num_partitions, keys=["query_id"])
-        .map_batches(functools.partial(_knn_fold, k=k),
-                     batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True))
+    return keyed_fold(
+        corpus_ds.map_batches(
+            _KnnChunkScan, fn_constructor_args=(refs, k, id_col, emb_col),
+            batch_format="pyarrow", zero_copy_batch=True,
+            concurrency=(1, max(2, n_cpu))),
+        ["query_id"], lambda b, _starts: _knn_fold(b, k=k),
+        num_partitions, order_by=None)
 
 
 def _bucket_exploded(batch: pa.Table, tables_planes, id_col: str,
@@ -762,16 +733,12 @@ def lsh_knn_join(corpus_ds, query_ds, k: int = 10, n_planes: int = 6,
         functools.partial(_bucket_exploded, tables_planes=tables,
                           id_col=id_col, emb_col=emb_col, tag=1),
         batch_format="pyarrow", zero_copy_batch=True)
-    return (qb.union(cb)
-            .repartition(num_partitions, keys=["key"])
-            .map_batches(functools.partial(_bucket_knn_block, k=k),
-                         batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-            .repartition(num_partitions, keys=["query_id"])
-            .map_batches(functools.partial(_knn_fold, k=k,
-                                           dedup_pairs=True),
-                         batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    near = keyed_fold(qb.union(cb), ["key"],
+                      lambda b, _starts: _bucket_knn_block(b, k=k),
+                      num_partitions, order_by=None)
+    return keyed_fold(near, ["query_id"],
+                      lambda b, _starts: _knn_fold(b, k=k, dedup_pairs=True),
+                      num_partitions, order_by=None)
 
 
 def _pq_lloyd(X: np.ndarray, n_centroids: int, n_iter: int = 12,

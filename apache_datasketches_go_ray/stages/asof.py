@@ -24,6 +24,7 @@ import pyarrow.compute as pc
 
 from .context import auto_partitions
 from .ids import local_codes
+from .keyed import keyed_fold
 
 
 def _project(b: pa.Table, key: str, ts: str, keep: list[str],
@@ -140,15 +141,13 @@ def asof_join(left_ds, right_ds, *, on: tuple[str, str],
         return b.select(names)
 
     P = auto_partitions(left_ds.count(), 200_000, num_partitions)
-    return (
+    return keyed_fold(
         lt.map_batches(_order, batch_format="pyarrow", zero_copy_batch=True)
         .union(rt.map_batches(_order, batch_format="pyarrow",
-                              zero_copy_batch=True))
-        .repartition(P, keys=["__k"])
-        .map_batches(
-            functools.partial(_match, left_keep=left_keep,
-                              right_keep=right_keep, tie_col=tie_break,
-                              left_ts_name=lts, ts_type=ts_type,
-                              key_name=lk),
-            batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    )
+                              zero_copy_batch=True)),
+        ["__k"],
+        lambda b, _starts: _match(b, left_keep=left_keep,
+                                  right_keep=right_keep, tie_col=tie_break,
+                                  left_ts_name=lts, ts_type=ts_type,
+                                  key_name=lk),
+        P, order_by=None)

@@ -1,15 +1,15 @@
-"""Conversation assembly: groupby(conv_id) with stable turn_idx sort.
+"""Conversation assembly: a conv_id-keyed fold with a stable turn_idx sort.
 
-Shuffle #1 of the pipeline. Rows arrive shuffled across convs/turns; we
-hash-partition by conv_id (``repartition(P, keys=["conv_id"])`` — the
-HASH_SHUFFLE strategy co-locates every conv's rows in exactly one block)
-and assemble each conversation with a vectorized in-block lexsort instead
-of per-group ``map_groups`` calls (which pay a Python call per conv).
+Rows arrive shuffled across convs/turns; ``stages/keyed.keyed_fold``
+co-locates every conv's rows in exactly one block, sorted by
+(conv_id, turn_idx), and each conversation is assembled from the fold's
+key runs with vectorized Arrow kernels instead of per-group
+``map_groups`` calls (which pay a Python call per conv).
 
 Per-row invariant (BASELINE.json input_hint): per-turn text equality under
 stable turn ordering — turns are ordered by turn_idx with a stable sort,
 and the assembled text is the '\\n'-joined turn sequence. Ties on
-(conv_id, turn_idx) keep input order (stable lexsort), and the original
+(conv_id, turn_idx) keep input order (stable sort), and the original
 turn texts are recoverable by splitting, which tests assert.
 """
 
@@ -19,38 +19,36 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .arrow_util import as_array
+from .keyed import keyed_fold, rank_in_segment, sort_segments
+
 TURN_SEP = "\n"
 
 
-def assemble_block(batch: pa.Table) -> pa.Table:
-    """Assemble all conversations fully contained in this block."""
-    from .arrow_util import as_array
-
-    conv = as_array(batch.column("conv_id"))
-    # dictionary-encode conv ids for a cheap integer sort key
-    dict_arr = as_array(pc.dictionary_encode(conv))
-    codes = dict_arr.indices.to_numpy(zero_copy_only=False)
-    convs = dict_arr.dictionary
-    turn_idx = as_array(batch.column("turn_idx")).to_numpy(zero_copy_only=False)
-    order = np.lexsort((turn_idx, codes))  # stable: by conv then turn
-    codes_s = codes[order]
-    texts = as_array(batch.column("text")).take(pa.array(order))
-
-    n_convs = len(convs)
-    counts = np.bincount(codes_s, minlength=n_convs)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    # native list-wrap + binary_join: no Python-string materialization
+def _join_runs(batch: pa.Table, starts: np.ndarray):
+    """Each key run's ``text`` rows joined with TURN_SEP, in row order —
+    native list-wrap + binary_join, no Python-string materialization."""
+    texts = as_array(batch.column("text"))
     turns = pa.ListArray.from_arrays(
-        pa.array(offsets, type=pa.int32()),
+        pa.array(np.append(starts, len(batch)), type=pa.int32()),
         texts.cast(pa.string()) if texts.type != pa.string() else texts)
-    joined = pc.binary_join(turns, TURN_SEP)
-    return pa.table(
-        {
-            "conv_id": convs.cast(pa.string()),
-            "text": joined,
-            "n_turns": pa.array(counts.astype(np.int32)),
-        }
-    )
+    return pc.binary_join(turns, TURN_SEP)
+
+
+def _run_keys(batch: pa.Table, starts: np.ndarray):
+    return as_array(batch.column("conv_id")).take(
+        pa.array(starts)).cast(pa.string())
+
+
+def assemble_block(batch: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Assemble every conversation of a block sorted by (conv_id,
+    turn_idx); ``starts`` are the conversations' first rows."""
+    counts = np.diff(np.append(starts, len(batch)))
+    return pa.table({
+        "conv_id": _run_keys(batch, starts),
+        "text": _join_runs(batch, starts),
+        "n_turns": pa.array(counts.astype(np.int32)),
+    })
 
 
 def _fragment_block(batch: pa.Table) -> pa.Table:
@@ -64,57 +62,25 @@ def _fragment_block(batch: pa.Table) -> pa.Table:
     last row can possibly continue in a neighboring block, so only
     those are marked ``boundary`` — every other row is already the
     final assembled conversation and skips the shuffle entirely."""
-    part = assemble_block(batch)
-    from .arrow_util import as_array
-
-    conv = as_array(batch.column("conv_id"))
-    dict_arr = as_array(pc.dictionary_encode(conv))
-    codes = dict_arr.indices.to_numpy(zero_copy_only=False)
-    tidx = as_array(batch.column("turn_idx")).to_numpy(zero_copy_only=False)
-    n_convs = len(dict_arr.dictionary)
-    first = np.full(n_convs, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first, codes, tidx.astype(np.int64))
-    boundary = np.zeros(n_convs, dtype=bool)
-    if len(codes):
-        boundary[codes[0]] = True
-        boundary[codes[-1]] = True
+    srt, starts = sort_segments(batch, ["conv_id"], ["turn_idx"])
+    part = assemble_block(srt, starts)
+    ends = as_array(batch.column("conv_id")).take(
+        pa.array([0, len(batch) - 1])).cast(pa.string())
+    first = as_array(srt.column("turn_idx")).to_numpy(
+        zero_copy_only=False)[starts]
     return part.append_column(
-        "first_turn", pa.array(first, type=pa.int64())).append_column(
-        "boundary", pa.array(boundary))
+        "first_turn", pa.array(first.astype(np.int64))).append_column(
+        "boundary", pc.is_in(part.column("conv_id"), value_set=ends))
 
 
-def _merge_fragments(batch: pa.Table) -> pa.Table:
-    """Fold co-located fragments of each conv in first_turn order."""
-    from .arrow_util import as_array
-
-    if len(batch) == 0:
-        return pa.table({
-            "conv_id": pa.array([], type=pa.string()),
-            "text": pa.array([], type=pa.string()),
-            "n_turns": pa.array([], type=pa.int32()),
-        })
-    conv = as_array(batch.column("conv_id"))
-    dict_arr = as_array(pc.dictionary_encode(conv))
-    codes = dict_arr.indices.to_numpy(zero_copy_only=False)
-    first = as_array(batch.column("first_turn")).to_numpy(
-        zero_copy_only=False)
-    order = np.lexsort((first, codes))
-    codes_s = codes[order]
-    texts = as_array(batch.column("text")).take(pa.array(order))
+def _merge_fragments(batch: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Fold co-located fragments of each conv, sorted by first_turn."""
     nt = as_array(batch.column("n_turns")).to_numpy(
-        zero_copy_only=False)[order]
-    n_convs = len(dict_arr.dictionary)
-    counts = np.bincount(codes_s, minlength=n_convs)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    lists = pa.ListArray.from_arrays(
-        pa.array(offsets, type=pa.int32()),
-        texts.cast(pa.string()) if texts.type != pa.string() else texts)
-    nsum = np.zeros(n_convs, dtype=np.int64)
-    np.add.at(nsum, codes_s, nt.astype(np.int64))
+        zero_copy_only=False).astype(np.int64)
     return pa.table({
-        "conv_id": dict_arr.dictionary.cast(pa.string()),
-        "text": pc.binary_join(lists, TURN_SEP),
-        "n_turns": pa.array(nsum.astype(np.int32)),
+        "conv_id": _run_keys(batch, starts),
+        "text": _join_runs(batch, starts),
+        "n_turns": pa.array(np.add.reduceat(nt, starts).astype(np.int32)),
     })
 
 
@@ -123,8 +89,8 @@ def assemble(ds, num_partitions: int, input_layout: str = "shuffled"):
 
     ``input_layout``:
 
-    * ``"shuffled"`` (default, always correct): hash-partition the raw
-      turn rows on conv_id and lexsort in-block — the full all-to-all.
+    * ``"shuffled"`` (default, always correct): one conv_id-keyed fold
+      over the raw turn rows, sorted by turn_idx — the full all-to-all.
     * ``"conv_grouped"``: the data-at-rest fast path for transcripts
       written conversation-contiguously (files sorted by
       (conv_id, turn_idx), however the reader splits them). Each block
@@ -153,19 +119,14 @@ def assemble(ds, num_partitions: int, input_layout: str = "shuffled"):
             .materialize()  # two consumers below
         done = frags.filter(expr="boundary == False") \
             .select_columns(["conv_id", "text", "n_turns"])
-        bnd = (frags.filter(expr="boundary == True")
-               .select_columns(["conv_id", "text", "n_turns",
-                                "first_turn"])
-               .repartition(max(2, min(P, 8)), keys=["conv_id"])
-               .map_batches(_merge_fragments, batch_format="pyarrow",
-                            batch_size=None, zero_copy_batch=True))
+        bnd = keyed_fold(
+            frags.filter(expr="boundary == True").select_columns(
+                ["conv_id", "text", "n_turns", "first_turn"]),
+            ["conv_id"], _merge_fragments, max(2, min(P, 8)),
+            order_by=["first_turn"])
         return done.union(bnd)
-    return (
-        ds.select_columns(["conv_id", "turn_idx", "text"])
-        .repartition(P, keys=["conv_id"])
-        .map_batches(assemble_block, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(ds.select_columns(["conv_id", "turn_idx", "text"]),
+                      ["conv_id"], assemble_block, P, order_by=["turn_idx"])
 
 
 def split_conversations(ds, gap_us: int = 1_800_000_000, *,
@@ -179,62 +140,34 @@ def split_conversations(ds, gap_us: int = 1_800_000_000, *,
     (key, sub_id): turn count, first/last timestamp. Generic over
     column names so the same operator sessionizes any keyed event
     stream (pass the epoch-us of the timestamp as ``order_col`` to
-    order by time). One key-keyed shuffle, in-block lexsort, segment
+    order by time). One keyed fold sorted by ``order_col``, segment
     boundaries from one vectorized diff — same discipline as
     assemble_block."""
-    from .arrow_util import as_array
     from .context import auto_partitions
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                key_col: pa.array([], type=pa.string()),
-                "sub_id": pa.array([], type=pa.int64()),
-                "n_turns": pa.array([], type=pa.int64()),
-                "start_ts": pa.array([], type=pa.timestamp("us")),
-                "end_ts": pa.array([], type=pa.timestamp("us")),
-            })
-        conv = as_array(b.column(key_col).cast(pa.string()))
-        dict_arr = as_array(pc.dictionary_encode(conv))
-        codes = dict_arr.indices.to_numpy(zero_copy_only=False)
-        ti = as_array(b.column(order_col)).to_numpy(
-            zero_copy_only=False)
+    def fold(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = len(b)
         ts = b.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        order = np.lexsort((ti, codes))
-        c_s, ts_s = codes[order], ts[order]
-        firstc = np.empty(len(c_s), dtype=bool)
-        firstc[0] = True
-        np.not_equal(c_s[1:], c_s[:-1], out=firstc[1:])
-        gap = np.zeros(len(c_s), dtype=np.int64)
-        gap[1:] = ts_s[1:] - ts_s[:-1]
-        new_seg = firstc | (gap > gap_us)
+        new_seg = np.zeros(n, dtype=bool)
+        new_seg[starts] = True
+        first_of_key = new_seg.copy()
+        new_seg[1:] |= ts[1:] - ts[:-1] > gap_us
         seg_starts = np.flatnonzero(new_seg)
-        seg_lens = np.diff(np.append(seg_starts, len(c_s)))
-        # 0-based sub index within each conversation: running segment
-        # counter reset at each conversation's first segment
-        conv_of_seg = c_s[seg_starts]
-        first_seg_of_conv = np.empty(len(seg_starts), dtype=bool)
-        first_seg_of_conv[0] = True
-        np.not_equal(conv_of_seg[1:], conv_of_seg[:-1],
-                     out=first_seg_of_conv[1:])
-        base = np.maximum.accumulate(
-            np.where(first_seg_of_conv, np.arange(len(seg_starts)), 0))
-        sub_id = np.arange(len(seg_starts)) - base
-        start_ts = np.minimum.reduceat(ts_s, seg_starts)
-        end_ts = np.maximum.reduceat(ts_s, seg_starts)
-        conv_names = dict_arr.dictionary.take(
-            pa.array(conv_of_seg, type=pa.int32())).cast(pa.string())
+        # 0-based sub index within each key: segment rank in its key run
+        sub_id = rank_in_segment(np.flatnonzero(first_of_key[seg_starts]),
+                                 len(seg_starts))
         return pa.table({
-            key_col: conv_names,
-            "sub_id": pa.array(sub_id.astype(np.int64)),
-            "n_turns": pa.array(seg_lens.astype(np.int64)),
-            "start_ts": pa.array(start_ts).cast(pa.timestamp("us")),
-            "end_ts": pa.array(end_ts).cast(pa.timestamp("us")),
+            key_col: as_array(b.column(key_col)).cast(pa.string()).take(
+                pa.array(seg_starts)),
+            "sub_id": pa.array(sub_id),
+            "n_turns": pa.array(np.diff(np.append(seg_starts, n))),
+            "start_ts": pa.array(np.minimum.reduceat(ts, seg_starts))
+            .cast(pa.timestamp("us")),
+            "end_ts": pa.array(np.maximum.reduceat(ts, seg_starts))
+            .cast(pa.timestamp("us")),
         })
 
     P = auto_partitions(ds.count(), 1_000_000, num_partitions)
-    return (ds.select_columns([key_col, order_col, ts_col])
-            .repartition(P, keys=[key_col])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(ds.select_columns([key_col, order_col, ts_col]),
+                      [key_col], fold, P, order_by=[order_col])

@@ -1,12 +1,13 @@
-"""Distributed union-find: iterative hash-partitioned edge exchange.
+"""Distributed union-find: iterative keyed-fold edge exchange.
 
 Connected components over the verified edge set via alternating
 large-star / small-star rounds (Kiveris et al., "Connected Components in
 MapReduce and Beyond" — public algorithm), which converges in O(log^2 n)
 rounds even on long chains (the skew-cap pair chains from stages/lsh.py
-can be long). Built ONLY from key-colocating hash shuffles
-(``repartition(keys=...)``) and fully vectorized per-block group scans —
-no driver-side row loops, no Dataset.join.
+can be long). Built ONLY from the engine's keyed fold
+(``stages/keyed.keyed_fold``: each node's neighborhood co-located in one
+block, sorted by neighbor) and fully vectorized per-block scans over its
+key runs — no driver-side row loops, no Dataset.join.
 
   large-star(u): for neighbors v > u, rewire v to m = min(N(u) ∪ {u})
   small-star(u): for neighbors v <= u, rewire v and u to
@@ -15,11 +16,11 @@ no driver-side row loops, no Dataset.join.
 Per-block vectorization: ids are coded once per block with
 ``stages/ids.local_codes`` (block-local integer codes that preserve id
 order, so min-by-code == min-by-id, for string, bridge-rank and integer
-ids alike), and every star operation is reduceat/mask arithmetic over
-the codes. Edges are deduped in-block (the
-only place duplicates can meet is the block that owns their source key),
-so no separate dedup shuffle is needed — one shuffle per star, two per
-round, one materialization per round.
+ids alike), and every star operation is mask arithmetic over the codes.
+Edges are deduped in-block (the only place duplicates can meet is the
+block that owns their source key), so no separate dedup exchange is
+needed — one fold per star, two per round, one materialization per
+round.
 
 The edge set monotonically contracts toward stars rooted at each
 component's minimum id; at the fixed point every edge is (component_min,
@@ -34,13 +35,16 @@ can be checkpointed through ``checkpoint_cb``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import ray.data
 
 from .arrow_util import as_array
 from ..functions.murmur3 import fmix64, hash_strings
-from .ids import id_keys, id_type, ids_at, local_codes, map_decode, map_encode
+from .ids import id_keys, ids_at, local_codes, map_decode, map_encode
+from .keyed import keyed_fold, run_heads
 
 # target edges per shuffle partition when auto-sizing
 _EDGES_PER_PART = 50_000
@@ -61,30 +65,23 @@ def _explode_bidirectional(batch: pa.Table) -> pa.Table:
     })
 
 
-def _group_starts(u_sorted: np.ndarray):
-    newgrp = np.ones(len(u_sorted), dtype=bool)
-    if len(u_sorted) > 1:
-        newgrp[1:] = u_sorted[1:] != u_sorted[:-1]
-    starts = np.flatnonzero(newgrp)
-    counts = np.diff(np.concatenate([starts, [len(u_sorted)]]))
-    return starts, counts
-
-
-def _empty(batch: pa.Table, names) -> pa.Table:
-    """Zero-row output block, ids typed like the input's ``u``."""
-    t = id_type(batch, "u")
-    return pa.schema([(n, t) for n in names]).empty_table()
-
-
-def _star_block(batch: pa.Table, large: bool) -> pa.Table:
-    """One star operation over all nodes whose neighborhoods live in this
-    block (hash-partitioned on u). Fully vectorized on block-local codes."""
-    if len(batch) == 0:
-        return _empty(batch, ["a", "b"])
+def _distinct_nbrs(batch: pa.Table, starts: np.ndarray):
+    """Block sorted by (u, v) -> (u, v) codes of its distinct edges, the
+    start and size of each node's neighbor run, and the id dictionary."""
     u, v, uniq = local_codes(batch.column("u"), batch.column("v"))
+    heads = run_heads(starts, v)
+    starts = (np.cumsum(heads) - 1)[starts]
+    return u[heads], v[heads], starts, np.diff(
+        np.append(starts, int(heads.sum()))), uniq
+
+
+def _star_block(batch: pa.Table, starts: np.ndarray,
+                large: bool) -> pa.Table:
+    """One star operation over all nodes whose neighborhoods live in this
+    block (sorted by (u, v), ``starts`` the node runs). Fully vectorized
+    on block-local codes."""
+    u, v, starts, counts, uniq = _distinct_nbrs(batch, starts)
     k = len(uniq)
-    u, v = _dedup_codes(u, v, k)            # sorted by (u, v)
-    starts, counts = _group_starts(u)
     nodes = u[starts]
     min_nbr = v[starts]                      # v sorted within group
     if large:
@@ -131,15 +128,16 @@ def _fingerprint(edges) -> tuple[int, int]:
     return n, h
 
 
-def _star(edges, P: int, large: bool):
-    return (
+def _by_node(edges, fn, P: int):
+    """Fold ``fn`` over each node's neighborhood (both edge directions)."""
+    return keyed_fold(
         edges.map_batches(_explode_bidirectional, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .repartition(P, keys=["u"])
-        .map_batches(lambda t, large=large: _star_block(t, large),
-                     batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+                          zero_copy_batch=True),
+        ["u"], fn, P, order_by=["v"])
+
+
+def _star(edges, P: int, large: bool):
+    return _by_node(edges, functools.partial(_star_block, large=large), P)
 
 
 # edge sets at or below this size finish on the driver (vectorized
@@ -163,14 +161,10 @@ def _cluster_local(edges) -> pa.Table:
     return pa.table({"conv_id": uniq, "cluster_id": ids_at(uniq, labels)})
 
 
-def _labels_block(batch: pa.Table) -> pa.Table:
+def _labels_block(batch: pa.Table, starts: np.ndarray) -> pa.Table:
     """Fixed point: every edge is (component_min, member). Labels:
     member -> min neighbor; centers label themselves."""
-    if len(batch) == 0:
-        return _empty(batch, ["conv_id", "cluster_id"])
-    u, v, uniq = local_codes(batch.column("u"), batch.column("v"))
-    u, v = _dedup_codes(u, v, len(uniq))
-    starts, _counts = _group_starts(u)
+    u, v, starts, _counts, uniq = _distinct_nbrs(batch, starts)
     nodes = u[starts]
     return pa.table({"conv_id": ids_at(uniq, nodes),
                      "cluster_id": ids_at(uniq, np.minimum(nodes, v[starts]))})
@@ -215,12 +209,7 @@ def cluster_edges(edges_ds, num_partitions: int, max_rounds: int = 40,
             if new_fp == fp:
                 break
             fp = new_fp
-        labels = (edges.map_batches(_explode_bidirectional,
-                                    batch_format="pyarrow",
-                                    zero_copy_batch=True)
-                  .repartition(P, keys=["u"])
-                  .map_batches(_labels_block, batch_format="pyarrow",
-                               batch_size=None, zero_copy_batch=True))
+        labels = _by_node(edges, _labels_block, P)
     return map_decode(labels, ["conv_id", "cluster_id"], bridge_ref)
 
 
@@ -238,36 +227,22 @@ def cluster_representatives(clusters_ds, turns_ds,
     from .join import hash_join
 
     def count_partial(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({conv_col: pa.array([], type=pa.string()),
-                             "n_turns": pa.array([], type=pa.int64())})
         g = b.select([conv_col]).group_by(conv_col).aggregate([([], "count_all")])
         return pa.table({conv_col: g.column(conv_col),
                          "n_turns": g.column("count_all").cast(pa.int64())})
 
-    def count_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return b
+    def count_fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by(conv_col).aggregate([("n_turns", "sum")])
         return pa.table({conv_col: g.column(conv_col),
                          "n_turns": g.column("n_turns_sum").cast(pa.int64())})
 
     P = auto_partitions(turns_ds.count(), 1_000_000, num_partitions)
-    counts = (turns_ds.select_columns([conv_col])
-              .map_batches(count_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .repartition(P, keys=[conv_col])
-              .map_batches(count_fold, batch_format="pyarrow",
-                           batch_size=None, zero_copy_batch=True))
+    counts = keyed_fold(
+        turns_ds.select_columns([conv_col]).map_batches(
+            count_partial, batch_format="pyarrow", zero_copy_batch=True),
+        [conv_col], count_fold, P, order_by=None)
     joined = hash_join(counts, clusters_ds, on=(conv_col, conv_col),
                        num_partitions=num_partitions)
-
-    _empty = pa.table({
-        "cluster_id": pa.array([], type=pa.string()),
-        "rep_conv_id": pa.array([], type=pa.string()),
-        "n_convs": pa.array([], type=pa.int64()),
-        "rep_n_turns": pa.array([], type=pa.int64()),
-    })
 
     def _fold(cl, cv, nt, sz) -> pa.Table:
         # best-first order inside each cluster: n_turns desc, conv asc
@@ -288,17 +263,13 @@ def cluster_representatives(clusters_ds, turns_ds,
         })
 
     def argmax_partial(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _empty
         return _fold(
             b.column("cluster_id").to_numpy(zero_copy_only=False),
             b.column(conv_col).to_numpy(zero_copy_only=False),
             b.column("n_turns").to_numpy(zero_copy_only=False),
             np.ones(len(b), dtype=np.int64))
 
-    def argmax_final(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _empty
+    def argmax_final(b: pa.Table, _starts) -> pa.Table:
         return _fold(
             b.column("cluster_id").to_numpy(zero_copy_only=False),
             b.column("rep_conv_id").to_numpy(zero_copy_only=False),
@@ -308,12 +279,10 @@ def cluster_representatives(clusters_ds, turns_ds,
     # partial argmax per block, then one cluster-keyed exchange: at most
     # one row per (block, cluster) enters the shuffle
     CP = auto_partitions(clusters_ds.count(), 500_000, num_partitions)
-    return (joined
-            .map_batches(argmax_partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(CP, keys=["cluster_id"])
-            .map_batches(argmax_final, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        joined.map_batches(argmax_partial, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        ["cluster_id"], argmax_final, CP, order_by=None)
 
 
 def leakage_safe_split(clusters_ds, convs_ds,
@@ -335,9 +304,7 @@ def leakage_safe_split(clusters_ds, convs_ds,
 
     from .context import auto_partitions
 
-    def distinct_convs(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({conv_col: pa.array([], type=pa.string())})
+    def distinct_convs(b: pa.Table, _starts=None) -> pa.Table:
         return pa.table({
             conv_col: b.column(conv_col).cast(pa.string()),
         }).group_by(conv_col).aggregate([])
@@ -346,23 +313,16 @@ def leakage_safe_split(clusters_ds, convs_ds,
     # globally unique conv universe (same combiner discipline as the
     # exact-dedup stage)
     P = auto_partitions(convs_ds.count(), 2_000_000, num_partitions)
-    universe = (convs_ds.select_columns([conv_col])
-                .map_batches(distinct_convs, batch_format="pyarrow",
-                             zero_copy_batch=True)
-                .repartition(P, keys=[conv_col])
-                .map_batches(distinct_convs, batch_format="pyarrow",
-                             batch_size=None, zero_copy_batch=True))
+    universe = keyed_fold(
+        convs_ds.select_columns([conv_col]).map_batches(
+            distinct_convs, batch_format="pyarrow", zero_copy_batch=True),
+        [conv_col], distinct_convs, P, order_by=None)
     joined = hash_join(universe, clusters_ds,
                        on=(conv_col, conv_col),
                        num_partitions=num_partitions,
                        join_type="left outer")
 
     def assign(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                conv_col: pa.array([], type=pa.string()),
-                "split": pa.array([], type=pa.string()),
-            })
         conv = b.column(conv_col)
         cl = b.column("cluster_id")
         keys = pc.coalesce(cl.cast(pa.string()),

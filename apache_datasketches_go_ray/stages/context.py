@@ -1,10 +1,10 @@
 """Ray Data execution-context knobs for the engine.
 
 The engine's wide stages (band grouping, pair dedup, verification joins,
-union-find exchange) are built on key-colocating hash shuffles
-(``Dataset.repartition(num_blocks, keys=[...])``), which require the
-HASH_SHUFFLE strategy in Ray 2.49. ``ensure_hash_shuffle`` flips it once
-per process. Never calls ``ray.init``.
+union-find exchange) all exchange keys through ``stages/keyed.keyed_fold``,
+whose hash shuffle (``Dataset.repartition(num_blocks, keys=[...])``)
+requires the HASH_SHUFFLE strategy in Ray 2.49. ``ensure_hash_shuffle``
+flips it once per process. Never calls ``ray.init``.
 """
 
 from __future__ import annotations
@@ -76,16 +76,11 @@ def apply_block_cap(cap_bytes: int | None, n_rows: int, *,
     regime. Returns True if the cap was applied."""
     if not cap_bytes:
         return False
-    try:
-        import ray as _ray
-        import ray.data as _rd
+    import ray as _ray
+    import ray.data as _rd
 
-        store = float(_ray.cluster_resources()
-                      .get("object_store_memory", 0.0))
-        if store and n_rows * bytes_per_row < 0.25 * store:
-            _rd.DataContext.get_current().target_max_block_size = \
-                int(cap_bytes)
-            return True
-    except Exception:
-        pass
+    store = float(_ray.cluster_resources().get("object_store_memory", 0.0))
+    if store and n_rows * bytes_per_row < 0.25 * store:
+        _rd.DataContext.get_current().target_max_block_size = int(cap_bytes)
+        return True
     return False

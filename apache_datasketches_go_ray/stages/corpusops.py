@@ -29,6 +29,8 @@ import pyarrow.compute as pc
 
 from .arrow_util import as_array
 from ..functions.murmur3 import fmix64, hash_strings
+from .keyed import (keyed_fold, np_col, rank_in_segment, run_heads,
+                    segment_ids)
 
 # second-lane seed for the 128-bit gram key (golden-ratio constant —
 # any odd constant works; this keeps the two lanes decorrelated)
@@ -138,17 +140,14 @@ def tfidf_top_terms(ds, id_col: str = "doc_id", text_col: str = "text",
         tf_partial, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
 
-    def df_fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _EMPTY_DF
+    def df_fold(batch: pa.Table, _starts) -> pa.Table:
         g = batch.group_by("token").aggregate([("tf", "count")])
         return pa.table({"token": g.column("token"),
                          "df": g.column("tf_count").cast(pa.int64())})
 
-    df_ds = (pairs.select_columns(["token", "tf"])
-             .repartition(num_partitions, keys=["token"])
-             .map_batches(df_fold, batch_format="pyarrow", batch_size=None,
-                          zero_copy_batch=True))
+    df_ds = keyed_fold(
+        pairs.select_columns(["token", "tf"]),
+        ["token"], df_fold, num_partitions, order_by=None)
 
     def topn_block(batch: pa.Table) -> pa.Table:
         """Per-doc top-n inside a doc-complete block."""
@@ -222,11 +221,11 @@ def tfidf_top_terms(ds, id_col: str = "doc_id", text_col: str = "text",
                          "token": batch.column("token"),
                          "score": pa.array(score, type=pa.float64())})
 
-    return (joined.map_batches(score_row_block, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .repartition(num_partitions, keys=["doc_id"])
-            .map_batches(topn_block, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        joined.map_batches(score_row_block, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        ["doc_id"], lambda b, _starts: topn_block(b),
+        num_partitions, order_by=None)
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +320,11 @@ def dup_span_stats(ds, id_col: str = "doc_id", text_col: str = "text",
                          "h2": pa.array(h2, type=pa.uint64()),
                          "doc_id": ids})
 
-    def dup_partial(batch: pa.Table) -> pa.Table:
-        """Block holds complete gram groups (keyed by h1)."""
-        if len(batch) == 0:
-            return pa.table({"doc_id": z64, "n_dup": z64})
-        h1 = batch.column("h1").to_numpy(zero_copy_only=False)
-        h2 = batch.column("h2").to_numpy(zero_copy_only=False)
-        order = np.lexsort((h2, h1))
-        h1_s, h2_s = h1[order], h2[order]
-        new = np.ones(len(h1_s), dtype=bool)
-        new[1:] = (h1_s[1:] != h1_s[:-1]) | (h2_s[1:] != h2_s[:-1])
-        gid = np.cumsum(new) - 1
-        gsize = np.bincount(gid)
-        dup_rows = gsize[gid] >= 2  # rows whose gram occurs in ≥2 docs
-        ids = as_array(batch.column("doc_id")).take(
-            pa.array(order[dup_rows]))
+    def dup_partial(batch: pa.Table, starts) -> pa.Table:
+        """Block holds complete gram groups, sorted by (h1, h2)."""
+        gid = np.cumsum(run_heads(starts, np_col(batch, "h2"))) - 1
+        dup_rows = np.bincount(gid)[gid] >= 2  # gram in ≥2 docs
+        ids = as_array(batch.column("doc_id")).filter(pa.array(dup_rows))
         if len(ids) == 0:
             return pa.table({"doc_id": z64, "n_dup": z64})
         t = pa.table({"doc_id": ids}).group_by("doc_id").aggregate(
@@ -361,27 +350,21 @@ def dup_span_stats(ds, id_col: str = "doc_id", text_col: str = "text",
             "n_dup": pa.array(np.zeros(n_docs, dtype=np.int64)),
         })
 
-    dups = (ds.select_columns([id_col, text_col])
-            .map_batches(gram_pairs, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(num_partitions, keys=["h1"])
-            .map_batches(dup_partial, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
-            .map_batches(lambda b: pa.table({
-                id_col: b.column("doc_id"),
-                "n_grams": pa.array(
-                    np.zeros(len(b), dtype=np.int64)),
-                "n_dup": b.column("n_dup")}),
-                batch_format="pyarrow", zero_copy_batch=True))
+    dups = keyed_fold(
+        ds.select_columns([id_col, text_col])
+        .map_batches(gram_pairs, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        ["h1"], dup_partial, num_partitions, order_by=["h2"],
+    ).map_batches(lambda b: pa.table({
+        id_col: b.column("doc_id"),
+        "n_grams": pa.array(np.zeros(len(b), dtype=np.int64)),
+        "n_dup": b.column("n_dup")}),
+        batch_format="pyarrow", zero_copy_batch=True)
 
     base = ds.select_columns([id_col, text_col]).map_batches(
         gram_count, batch_format="pyarrow", zero_copy_batch=True)
 
-    def merge_fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({id_col: z64, "n_grams": z64,
-                             "n_dup_grams": z64,
-                             "dup_ratio": pa.array([], type=pa.float64())})
+    def merge_fold(batch: pa.Table, _starts) -> pa.Table:
         g = batch.group_by(id_col).aggregate(
             [("n_grams", "sum"), ("n_dup", "sum")])
         n_grams = g.column("n_grams_sum").to_numpy(zero_copy_only=False)
@@ -394,10 +377,9 @@ def dup_span_stats(ds, id_col: str = "doc_id", text_col: str = "text",
             "dup_ratio": pa.array(ratio, type=pa.float64()),
         })
 
-    return (base.union(dups)
-            .repartition(num_partitions, keys=[id_col])
-            .map_batches(merge_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        base.union(dups),
+        [id_col], merge_fold, num_partitions, order_by=None)
 
 
 def dup_span_rewrite(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -423,7 +405,6 @@ def dup_span_rewrite(ds, id_col: str = "doc_id", text_col: str = "text",
     ~2^-64·n² — negligible at 10^12 grams).
     """
     z64 = pa.array([], type=pa.int64())
-    _REMOVABLE = pa.schema([("doc_id", pa.int64()), ("pos", pa.int64())])
     _OUT = pa.schema([("doc_id", pa.int64()), ("new_text", pa.string()),
                       ("n_tokens", pa.int64()), ("n_removed", pa.int64())])
 
@@ -440,37 +421,24 @@ def dup_span_rewrite(ds, id_col: str = "doc_id", text_col: str = "text",
                          "doc_id": ids.cast(pa.int64()),
                          "pos": pa.array(pos, type=pa.int64())})
 
-    def removable_fold(batch: pa.Table) -> pa.Table:
-        """Block holds complete gram groups (keyed by h1). Keep the
-        lexicographic-min (doc_id, pos) occurrence per 128-bit gram;
-        every other occurrence is removable."""
-        if len(batch) == 0:
-            return _REMOVABLE.empty_table()
-        h1 = batch.column("h1").to_numpy(zero_copy_only=False)
-        h2 = batch.column("h2").to_numpy(zero_copy_only=False)
-        doc = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        pos = batch.column("pos").to_numpy(zero_copy_only=False)
-        order = np.lexsort((pos, doc, h2, h1))
-        h1_s, h2_s = h1[order], h2[order]
-        first = np.ones(len(h1_s), dtype=bool)
-        first[1:] = (h1_s[1:] != h1_s[:-1]) | (h2_s[1:] != h2_s[:-1])
-        drop = order[~first]
-        if len(drop) == 0:
-            return _REMOVABLE.empty_table()
-        return pa.table({"doc_id": pa.array(doc[drop], type=pa.int64()),
-                         "pos": pa.array(pos[drop], type=pa.int64())})
+    def removable_fold(batch: pa.Table, starts) -> pa.Table:
+        """Block holds complete gram groups, sorted by (h1, h2, doc_id,
+        pos). Keep the lexicographic-min (doc_id, pos) occurrence per
+        128-bit gram; every other occurrence is removable."""
+        first = run_heads(starts, np_col(batch, "h2"))
+        return batch.filter(pa.array(~first)).select(["doc_id", "pos"])
 
-    removable = (ds.select_columns([id_col, text_col])
-                 .map_batches(gram_pass, batch_format="pyarrow",
-                              zero_copy_batch=True)
-                 .repartition(num_partitions, keys=["h1"])
-                 .map_batches(removable_fold, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
-                 .map_batches(lambda b: pa.table({
-                     "doc_id": b.column("doc_id"),
-                     "txt": pa.nulls(len(b), pa.string()),
-                     "pos": b.column("pos")}),
-                     batch_format="pyarrow", zero_copy_batch=True))
+    removable = keyed_fold(
+        ds.select_columns([id_col, text_col])
+        .map_batches(gram_pass, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        ["h1"], removable_fold, num_partitions,
+        order_by=["h2", "doc_id", "pos"],
+    ).map_batches(lambda b: pa.table({
+        "doc_id": b.column("doc_id"),
+        "txt": pa.nulls(len(b), pa.string()),
+        "pos": b.column("pos")}),
+        batch_format="pyarrow", zero_copy_batch=True)
 
     docs = ds.select_columns([id_col, text_col]).map_batches(
         lambda b: pa.table({
@@ -479,10 +447,8 @@ def dup_span_rewrite(ds, id_col: str = "doc_id", text_col: str = "text",
             "pos": pa.array(np.full(len(b), -1, dtype=np.int64))}),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    def rewrite_fold(batch: pa.Table) -> pa.Table:
+    def rewrite_fold(batch: pa.Table, _starts) -> pa.Table:
         """Block holds every row (doc + removable) of its doc_ids."""
-        if len(batch) == 0:
-            return _OUT.empty_table()
         pos = batch.column("pos").to_numpy(zero_copy_only=False)
         is_doc = pos == -1
         doc_rows = batch.filter(pa.array(is_doc))
@@ -524,10 +490,9 @@ def dup_span_rewrite(ds, id_col: str = "doc_id", text_col: str = "text",
             "n_tokens": pa.array(n_tok.astype(np.int64)),
             "n_removed": pa.array(n_removed.astype(np.int64))})
 
-    return (docs.union(removable)
-            .repartition(num_partitions, keys=["doc_id"])
-            .map_batches(rewrite_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        docs.union(removable),
+        ["doc_id"], rewrite_fold, num_partitions, order_by=None)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +531,7 @@ def oov_rate(ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({"token": d.dictionary.cast(pa.string()),
                          "c": pa.array(c, type=pa.int64())})
 
-    def count_fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _CNT.empty_table()
+    def count_fold(batch: pa.Table, _starts) -> pa.Table:
         g = batch.group_by("token").aggregate([("c", "sum")])
         return pa.table({"token": g.column("token"),
                          "c": g.column("c_sum").cast(pa.int64())})
@@ -581,12 +544,12 @@ def oov_rate(ds, id_col: str = "doc_id", text_col: str = "text",
         return batch.take(idx.slice(0, vocab_size))
 
     tops = gather_table(
-        ds.select_columns([text_col])
-        .map_batches(count_partial, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .repartition(num_partitions, keys=["token"])
-        .map_batches(count_fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
+        keyed_fold(
+            ds.select_columns([text_col])
+            .map_batches(count_partial, batch_format="pyarrow",
+                         zero_copy_batch=True),
+            ["token"], count_fold,
+            num_partitions, order_by=None)
         .map_batches(top_partial, batch_format="pyarrow", batch_size=None,
                      zero_copy_batch=True),
         schema=_CNT)
@@ -656,65 +619,45 @@ def zipf_slope(ds, text_col: str = "text", group_col: str = "source",
                          "token": g.column("token"),
                          "c": g.column("count_all").cast(pa.int64())})
 
-    def count_fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _CNT.empty_table()
+    def count_fold(batch: pa.Table, _starts) -> pa.Table:
         g = batch.group_by([group_col, "token"]).aggregate([("c", "sum")])
         return pa.table({group_col: g.column(group_col),
                          "token": g.column("token"),
                          "c": g.column("c_sum").cast(pa.int64())})
 
-    def slope_block(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _OUT.empty_table()
-        idx = pc.sort_indices(batch, sort_keys=[
-            (group_col, "ascending"), ("c", "descending"),
-            ("token", "ascending")])
-        t = batch.take(idx)
-        grp = as_array(t.column(group_col))
-        codes = as_array(pc.dictionary_encode(grp)).indices.to_numpy(
-            zero_copy_only=False)
-        pos = np.arange(len(codes), dtype=np.int64)
-        new = np.concatenate([[True], codes[1:] != codes[:-1]])
-        start = np.maximum.accumulate(np.where(new, pos, 0))
-        rank = pos - start + 1
+    def slope_block(t: pa.Table, starts) -> pa.Table:
+        # sorted by (group, c desc, token): rank is the run position
+        rank = rank_in_segment(starts, len(t)) + 1
         keep = rank <= top_r
-        codes_k, rank_k = codes[keep], rank[keep]
-        c_k = t.column("c").to_numpy(zero_copy_only=False)[keep]
-        n_grp = int(codes_k[-1]) + 1 if len(codes_k) else 0
-        n_terms = np.bincount(codes_k, minlength=n_grp)
-        x, y = np.log(rank_k.astype(np.float64)), np.log(
+        seg_k = segment_ids(starts, len(t))[keep]
+        c_k = np_col(t, "c")[keep]
+        n_grp = len(starts)
+        n_terms = np.bincount(seg_k, minlength=n_grp)
+        x, y = np.log(rank[keep].astype(np.float64)), np.log(
             c_k.astype(np.float64))
-        sx = np.bincount(codes_k, weights=x, minlength=n_grp)
-        sy = np.bincount(codes_k, weights=y, minlength=n_grp)
-        sxx = np.bincount(codes_k, weights=x * x, minlength=n_grp)
-        sxy = np.bincount(codes_k, weights=x * y, minlength=n_grp)
+        sx = np.bincount(seg_k, weights=x, minlength=n_grp)
+        sy = np.bincount(seg_k, weights=y, minlength=n_grp)
+        sxx = np.bincount(seg_k, weights=x * x, minlength=n_grp)
+        sxy = np.bincount(seg_k, weights=x * y, minlength=n_grp)
         nn = n_terms.astype(np.float64)
         ok = n_terms >= 2
         varx = sxx - sx * sx / np.maximum(nn, 1)
         cov = sxy - sx * sy / np.maximum(nn, 1)
         slope = _round4(cov[ok] / varx[ok])
-        first_of = start[keep][np.concatenate(
-            [[True], codes_k[1:] != codes_k[:-1]])] if len(codes_k) else []
-        grp_names = grp.take(pa.array(np.asarray(first_of,
-                                                 dtype=np.int64)))
-        okm = ok[np.unique(codes_k)] if len(codes_k) else np.array(
-            [], dtype=bool)
         return pa.table({
-            group_col: grp_names.filter(pa.array(okm)),
-            "n_terms": pa.array(n_terms[np.unique(codes_k)][okm]
-                                .astype(np.int64)),
+            group_col: as_array(t.column(group_col)).take(
+                pa.array(starts[ok])),
+            "n_terms": pa.array(n_terms[ok].astype(np.int64)),
             "zipf_slope": pa.array(slope, type=pa.float64())})
 
-    return (ds.select_columns([group_col, text_col])
-            .map_batches(count_partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(num_partitions, keys=["token"])
-            .map_batches(count_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
-            .repartition(max(num_partitions // 4, 1), keys=[group_col])
-            .map_batches(slope_block, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    counts = keyed_fold(
+        ds.select_columns([group_col, text_col])
+        .map_batches(count_partial, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        ["token"], count_fold,
+        num_partitions, order_by=None)
+    return keyed_fold(counts, [group_col], slope_block,
+                      max(num_partitions // 4, 1), order_by=["-c", "token"])
 
 
 # ---------------------------------------------------------------------------
@@ -767,22 +710,18 @@ def dsir_importance(ds, id_col: str = "doc_id", text_col: str = "text",
             "c_tgt": pa.array(c_tgt.astype(np.int64)),
         })
 
-    def cnt_fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return empty_cnt
+    def cnt_fold(batch: pa.Table, _starts) -> pa.Table:
         g = batch.group_by("token").aggregate(
             [("c_all", "sum"), ("c_tgt", "sum")])
         return pa.table({"token": g.column("token"),
                          "c_all": g.column("c_all_sum").cast(pa.int64()),
                          "c_tgt": g.column("c_tgt_sum").cast(pa.int64())})
 
-    counts = (ds.select_columns([id_col, text_col, target_col])
-              .map_batches(cnt_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .repartition(num_partitions, keys=["token"])
-              .map_batches(cnt_fold, batch_format="pyarrow",
-                           batch_size=None, zero_copy_batch=True)
-              .materialize())
+    counts = keyed_fold(
+        ds.select_columns([id_col, text_col, target_col])
+        .map_batches(cnt_partial, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        ["token"], cnt_fold, num_partitions, order_by=None).materialize()
 
     totals = counts.sum(["c_all", "c_tgt"])
     r_tot = float(totals["sum(c_all)"])
@@ -865,9 +804,7 @@ def dsir_importance(ds, id_col: str = "doc_id", text_col: str = "text",
                          "w_sum": g.column("w_sum_sum"),
                          "n": g.column("n_sum").cast(pa.int64())})
 
-    def mean_fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return empty_out
+    def mean_fold(batch: pa.Table, _starts) -> pa.Table:
         g = batch.group_by("doc_id").aggregate(
             [("w_sum", "sum"), ("n", "sum")])
         llr = _round4(g.column("w_sum_sum").to_numpy(zero_copy_only=False)
@@ -875,11 +812,10 @@ def dsir_importance(ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({"doc_id": g.column("doc_id"),
                          "llr": pa.array(llr, type=pa.float64())})
 
-    return (joined.map_batches(w_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .repartition(num_partitions, keys=["doc_id"])
-            .map_batches(mean_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        joined.map_batches(w_partial, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        ["doc_id"], mean_fold, num_partitions, order_by=None)
 
 
 # ---------------------------------------------------------------------------
@@ -939,20 +875,17 @@ def collocation_stats(ds, text_col: str = "text", min_count: int = 5,
             "n_xy": pa.array(cnt.astype(np.int64)),
         })
 
-    def bigram_fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _EMPTY_BG
+    def bigram_fold(batch: pa.Table, _starts) -> pa.Table:
         g = batch.group_by(["x", "y"]).aggregate([("n_xy", "sum")])
         return pa.table({"x": g.column("x"), "y": g.column("y"),
                          "n_xy": g.column("n_xy_sum").cast(pa.int64())})
 
-    bigrams = (ds.select_columns([text_col])
-               .map_batches(pair_partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-               .repartition(num_partitions, keys=["x", "y"])
-               .map_batches(bigram_fold, batch_format="pyarrow",
-                            batch_size=None, zero_copy_batch=True)
-               .materialize())  # consumed 3x: two marginals + annotate
+    # materialized: consumed 3x, two marginals + annotate
+    bigrams = keyed_fold(
+        ds.select_columns([text_col])
+        .map_batches(pair_partial, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        ["x", "y"], bigram_fold, num_partitions, order_by=None).materialize()
 
     _empty_marg = pa.table({"t": pa.array([], type=pa.string()),
                             "n": pa.array([], type=pa.int64())})
@@ -1061,9 +994,7 @@ def source_vocab_overlap(ds, group_col: str = "source",
         })
         return t.group_by([group_col, "token"]).aggregate([])
 
-    def pair_counts(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _EMPTY_SRCPAIR
+    def pair_counts(b: pa.Table, _starts) -> pa.Table:
         # token partition arrived: distinct here is globally distinct
         d = b.group_by([group_col, "token"]).aggregate([])
         src = pc.dictionary_encode(as_array(d.column(group_col)))
@@ -1082,11 +1013,10 @@ def source_vocab_overlap(ds, group_col: str = "source",
             "n_common": pa.array(co[ai, bi]),
         })
 
-    parts = (ds.select_columns([group_col, text_col])
-             .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-             .repartition(num_partitions, keys=["token"])
-             .map_batches(pair_counts, batch_format="pyarrow",
-                          batch_size=None, zero_copy_batch=True))
+    parts = keyed_fold(
+        ds.select_columns([group_col, text_col])
+        .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
+        ["token"], pair_counts, num_partitions, order_by=None)
     folded = gather_table(parts, schema=_EMPTY_SRCPAIR.schema) \
         .group_by(["source_a", "source_b"]).aggregate([("n_common", "sum")])
 
@@ -1178,9 +1108,7 @@ def ngram_diversity_by(ds, group_col: str = "source",
                          "bigram": g.column("bigram"),
                          "c": g.column("bigram_count").cast(pa.int64())})
 
-    def count_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _CNT.empty_table()
+    def count_fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by([group_col, "bigram"]).aggregate([("c", "sum")])
         return pa.table({group_col: g.column(group_col),
                          "bigram": g.column("bigram"),
@@ -1196,13 +1124,7 @@ def ngram_diversity_by(ds, group_col: str = "source",
                          "n_distinct": g.column("bigram_count")
                          .cast(pa.int64())})
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({group_col: pa.array([], type=pa.string()),
-                             "n_bigrams": pa.array([], type=pa.int64()),
-                             "n_distinct": pa.array([], type=pa.int64()),
-                             "diversity": pa.array([],
-                                                   type=pa.float64())})
+    def fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by(group_col).aggregate(
             [("n_bigrams", "sum"), ("n_distinct", "sum")])
         nb = g.column("n_bigrams_sum").to_numpy(zero_copy_only=False) \
@@ -1217,19 +1139,16 @@ def ngram_diversity_by(ds, group_col: str = "source",
         })
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (
-        ds.select_columns([group_col, text_col])
-        .map_batches(count_partial, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .repartition(P, keys=[group_col, "bigram"])
-        .map_batches(count_fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
+    return keyed_fold(
+        keyed_fold(
+            ds.select_columns([group_col, text_col])
+            .map_batches(count_partial, batch_format="pyarrow",
+                         zero_copy_batch=True),
+            [group_col, "bigram"], count_fold,
+            P, order_by=None)
         .map_batches(group_partial, batch_format="pyarrow",
-                     batch_size=None, zero_copy_batch=True)
-        .repartition(min(4, P), keys=[group_col])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+                     batch_size=None, zero_copy_batch=True),
+        [group_col], fold, min(4, P), order_by=None)
 
 
 def nb_token_likelihoods(ds, class_col: str = "lang",
@@ -1274,9 +1193,7 @@ def nb_token_likelihoods(ds, class_col: str = "lang",
                          "token": g.column("token"),
                          "c": g.column("token_count").cast(pa.int64())})
 
-    def count_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _CNT.empty_table()
+    def count_fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by([class_col, "token"]).aggregate([("c", "sum")])
         return pa.table({class_col: g.column(class_col),
                          "token": g.column("token"),
@@ -1284,12 +1201,11 @@ def nb_token_likelihoods(ds, class_col: str = "lang",
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
     folded = (
-        ds.select_columns([class_col, text_col])
-        .map_batches(count_partial, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .repartition(P, keys=["token"])
-        .map_batches(count_fold, batch_format="pyarrow",
-                     batch_size=None, zero_copy_batch=True)
+        keyed_fold(
+            ds.select_columns([class_col, text_col])
+            .map_batches(count_partial, batch_format="pyarrow",
+                         zero_copy_batch=True),
+            ["token"], count_fold, P, order_by=None)
         .materialize())
 
     # blocks are token-partitioned: a token lives in exactly one block,
@@ -1484,9 +1400,7 @@ def bpe_learn_merges(ds, text_col: str = "text", n_merges: int = 40,
         return pa.table({"token": d.dictionary.cast(pa.string()),
                          "c": pa.array(c, type=pa.int64())})
 
-    def count_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _CNT.empty_table()
+    def count_fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by("token").aggregate([("c", "sum")])
         return pa.table({"token": g.column("token"),
                          "c": g.column("c_sum").cast(pa.int64())})
@@ -1500,12 +1414,11 @@ def bpe_learn_merges(ds, text_col: str = "text", n_merges: int = 40,
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
     tops = gather_table(
-        ds.select_columns([text_col])
-        .map_batches(count_partial, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .repartition(P, keys=["token"])
-        .map_batches(count_fold, batch_format="pyarrow",
-                     batch_size=None, zero_copy_batch=True)
+        keyed_fold(
+            ds.select_columns([text_col])
+            .map_batches(count_partial, batch_format="pyarrow",
+                         zero_copy_batch=True),
+            ["token"], count_fold, P, order_by=None)
         .map_batches(top_partial, batch_format="pyarrow",
                      batch_size=None, zero_copy_batch=True),
         schema=_CNT)
@@ -1667,25 +1580,15 @@ def vocab_drift_weekly(ds, ts_col: str = "ts", text_col: str = "text",
         t = t.filter(pc.not_equal(t.column("token"), ""))
         return t.group_by(["week", "token"]).aggregate([])
 
-    def per_token(b: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "week_a": pa.array([], type=pa.int64()),
-            "n_a": pa.array([], type=pa.int64()),
-            "n_common": pa.array([], type=pa.int64()),
-        })
-        if len(b) == 0:
-            return empty
+    def per_token(b: pa.Table, starts) -> pa.Table:
         # block-local rows are (week, token) distinct per input block but
         # may repeat across blocks: dedup after the shuffle
-        d = b.group_by(["week", "token"]).aggregate([])
-        tok = d.column("token").to_numpy(zero_copy_only=False)
-        wk = d.column("week").to_numpy(zero_copy_only=False)
-        order = np.lexsort((wk, tok))
-        tk, wks = tok[order], wk[order]
-        same = np.zeros(len(tk), dtype=bool)
-        if len(tk) > 1:
-            same[1:] = tk[1:] == tk[:-1]
-        adj = same & (np.diff(wks, prepend=wks[:1]) == 1)
+        wk = np_col(b, "week")
+        head = run_heads(starts, wk)
+        new_tok = np.zeros(len(b), dtype=bool)
+        new_tok[starts] = True
+        wks = wk[head]
+        adj = ~new_tok[head] & (np.diff(wks, prepend=wks[:1]) == 1)
         # sizes: every distinct (week, token) contributes 1 to its week
         uw, wc = np.unique(wks, return_counts=True)
         aw, ac = (np.unique(wks[adj] - 1, return_counts=True)
@@ -1700,12 +1603,11 @@ def vocab_drift_weekly(ds, ts_col: str = "ts", text_col: str = "text",
         })
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    part = (ds.select_columns([ts_col, text_col])
-            .map_batches(pairs, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(P, keys=["token"])
-            .map_batches(per_token, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    part = keyed_fold(
+        ds.select_columns([ts_col, text_col])
+        .map_batches(pairs, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        ["token"], per_token, P, order_by=["week"])
     t = gather_table(part, schema=pa.schema(
         [("week_a", pa.int64()), ("n_a", pa.int64()),
          ("n_common", pa.int64())]))
@@ -1778,20 +1680,17 @@ def top_ngrams(ds, text_col: str = "text", *, n: int = 5, k: int = 50,
                          "n_occurrences": g.column("count_all")
                         .cast(pa.int64())})
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _empty
+    def fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by("ngram").aggregate([("n_occurrences", "sum")])
         return pa.table({"ngram": g.column("ngram").cast(pa.string()),
                          "n_occurrences": g.column("n_occurrences_sum")
                         .cast(pa.int64())})
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .repartition(P, keys=["ngram"])
-              .map_batches(fold, batch_format="pyarrow",
-                           batch_size=None, zero_copy_batch=True))
+    counts = keyed_fold(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["ngram"], fold, P, order_by=None)
     return top_k(counts, [("n_occurrences", "descending"),
                           ("ngram", "ascending")], k=k)
 
@@ -1846,9 +1745,7 @@ def novelty_scores(ds, id_col: str = "doc_id", text_col: str = "text",
 
     _TOT = pa.schema([("doc_id", pa.int64()), ("n_total", pa.int64())])
 
-    def tot_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _TOT.empty_table()
+    def tot_fold(b: pa.Table, _starts) -> pa.Table:
         # global doc-distinct grams arrive co-located on the doc key;
         # in-block (gh, doc) dedup finishes the cross-block distinct
         d = b.group_by(["gh", "doc"]).aggregate([])
@@ -1856,15 +1753,11 @@ def novelty_scores(ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({"doc_id": g.column("doc"),
                          "n_total": g.column("count_all").cast(pa.int64())})
 
-    totals = (rows.repartition(P, keys=["doc"])
-              .map_batches(tot_fold, batch_format="pyarrow",
-                           batch_size=None, zero_copy_batch=True))
+    totals = keyed_fold(rows, ["doc"], tot_fold, P, order_by=None)
 
     _NEW = pa.schema([("doc", pa.int64()), ("k", pa.int64())])
 
-    def first_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _NEW.empty_table()
+    def first_fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by("gh").aggregate([("doc", "min")])
         f = g.column("doc_min")
         t = pa.table({"doc": f}).group_by("doc").aggregate(
@@ -1872,20 +1765,14 @@ def novelty_scores(ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({"doc": t.column("doc"),
                          "k": t.column("count_all").cast(pa.int64())})
 
-    def new_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({"doc_id": pa.array([], type=pa.int64()),
-                             "n_new": pa.array([], type=pa.int64())})
+    def new_fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by("doc").aggregate([("k", "sum")])
         return pa.table({"doc_id": g.column("doc"),
                          "n_new": g.column("k_sum").cast(pa.int64())})
 
-    news = (rows.repartition(P, keys=["gh"])
-            .map_batches(first_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
-            .repartition(max(P // 2, 1), keys=["doc"])
-            .map_batches(new_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    news = keyed_fold(
+        keyed_fold(rows, ["gh"], first_fold, P, order_by=None),
+        ["doc"], new_fold, max(P // 2, 1), order_by=None)
 
     joined = hash_join(totals, news, on=("doc_id", "doc_id"),
                        num_partitions=P, join_type="left outer")

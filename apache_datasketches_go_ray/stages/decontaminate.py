@@ -32,6 +32,7 @@ import ray
 
 from .arrow_util import as_array
 from ..functions.shingle import shingle_hashes, tokenize_column
+from .keyed import keyed_fold, np_col, segment_ends
 
 
 def _doc_ngram_hashes(texts, n: int):
@@ -199,21 +200,10 @@ def contamination_pairs(docs_ds, *, n: int = 13, id_col: str = "doc_id",
             "is_eval": pa.array(is_eval),
         })
 
-    def pairs_block(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _empty_pairs
-        h = b.column("h").to_numpy(zero_copy_only=False)
-        doc = b.column("doc").to_numpy(zero_copy_only=False)
-        ev = b.column("is_eval").to_numpy(zero_copy_only=False)
-        order = np.lexsort((doc, h))
-        h, doc, ev = h[order], doc[order], ev[order]
-        first = np.empty(len(h), dtype=bool)
-        first[0] = True
-        first[1:] = h[1:] != h[:-1]
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(h))
+    def pairs_block(b: pa.Table, starts) -> pa.Table:
+        doc, ev = np_col(b, "doc"), np_col(b, "is_eval")
         t_parts, e_parts = [], []
-        for s, e in zip(starts, ends):
+        for s, e in zip(starts, segment_ends(starts, len(b))):
             evm = ev[s:e]
             n_e = int(evm.sum())
             n_t = (e - s) - n_e
@@ -241,9 +231,7 @@ def contamination_pairs(docs_ds, *, n: int = 13, id_col: str = "doc_id",
             "n_shared": g.column("count_all").cast(pa.int64()),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _empty_pairs
+    def fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by(["train_doc", "eval_doc"]).aggregate(
             [("n_shared", "sum")])
         return pa.table({
@@ -253,15 +241,12 @@ def contamination_pairs(docs_ds, *, n: int = 13, id_col: str = "doc_id",
         })
 
     P = auto_partitions(docs_ds.count(), 500_000, num_partitions)
-    return (docs_ds.select_columns([id_col, text_col])
-            .map_batches(emit, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(P, keys=["h"])
-            .map_batches(pairs_block, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
-            .repartition(P, keys=["train_doc", "eval_doc"])
-            .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    pairs = keyed_fold(
+        docs_ds.select_columns([id_col, text_col])
+        .map_batches(emit, batch_format="pyarrow", zero_copy_batch=True),
+        ["h"], pairs_block, P, order_by=["doc"])
+    return keyed_fold(pairs, ["train_doc", "eval_doc"],
+                      fold, P, order_by=None)
 
 
 def semantic_decontaminate(train_ds, eval_ds, *, threshold: float = 0.4,

@@ -17,6 +17,8 @@ from .arrow_util import as_array
 from ..config import DedupConfig
 from ..functions.murmur3 import hash_strings
 from ..functions.shingle import tokenize_column
+from .keyed import (keyed_fold, np_col, rank_in_segment, run_heads,
+                    segment_ends, segment_ids, sort_key)
 
 
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -35,10 +37,7 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
             "text_hash": pa.array(h1, type=pa.uint64()),
         })
 
-    def fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({"keeper_id": pa.array([], type=pa.int64()),
-                             "n_copies": pa.array([], type=pa.int64())})
+    def fold(batch: pa.Table, _starts) -> pa.Table:
         t = batch.group_by(text_col).aggregate(
             [(id_col, "min"), (id_col, "count")])
         return pa.table({
@@ -46,13 +45,11 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
             "n_copies": t.column(f"{id_col}_count").cast(pa.int64()),
         })
 
-    return (
+    return keyed_fold(
         ds.select_columns([id_col, text_col])
-        .map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=["text_hash"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True),
+        ["text_hash"], fold,
+        num_partitions, order_by=None)
 
 
 def minhash_dedup_documents(ds, cfg: DedupConfig | None = None,
@@ -102,11 +99,7 @@ def simhash_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
         })
         return simhash_batch(b)
 
-    def fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({"simhash": pa.array([], type=pa.uint64()),
-                             "keeper_id": pa.array([], type=pa.int64()),
-                             "n_docs": pa.array([], type=pa.int64())})
+    def fold(batch: pa.Table, _starts) -> pa.Table:
         t = batch.group_by("simhash").aggregate(
             [(id_col, "min"), (id_col, "count")])
         t = t.filter(pc.greater_equal(t.column(f"{id_col}_count"), 2))
@@ -116,13 +109,10 @@ def simhash_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
             "n_docs": t.column(f"{id_col}_count").cast(pa.int64()),
         })
 
-    return (
+    return keyed_fold(
         ds.select_columns([id_col, text_col])
-        .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=["simhash"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        ["simhash"], fold, num_partitions, order_by=None)
 
 
 def _ngram_hashes(tok: np.ndarray, n: int) -> np.ndarray:
@@ -177,42 +167,32 @@ def consecutive_token_jaccard(ds, id_col: str = "doc_id",
             "toks": pa.array(payload, type=pa.large_binary()),
         })
 
-    def fold(batch: pa.Table) -> pa.Table:
-        keys = as_array(batch.column("pair_key")).to_numpy(zero_copy_only=False)
-        member = as_array(batch.column("member")).to_numpy(zero_copy_only=False)
+    def fold(batch: pa.Table, starts) -> pa.Table:
+        keys = np_col(batch, "pair_key")
         blobs = as_array(batch.column("toks")).to_pylist()
-        order = np.lexsort((member, keys))
         out_a, out_b, out_j = [], [], []
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and keys[order[j + 1]] == keys[order[i]]:
-                j += 1
-            if j == i + 1:  # both members present
-                A = np.frombuffer(blobs[order[i]], dtype=np.uint64)
-                B = np.frombuffer(blobs[order[j]], dtype=np.uint64)
+        for i, e in zip(starts, segment_ends(starts, len(batch))):
+            if e - i == 2:  # both members present
+                A = np.frombuffer(blobs[i], dtype=np.uint64)
+                B = np.frombuffer(blobs[i + 1], dtype=np.uint64)
                 inter = len(np.intersect1d(A, B, assume_unique=True))
                 union = len(A) + len(B) - inter
-                out_a.append(int(keys[order[i]]))
-                out_b.append(int(keys[order[i]]) + 1)
+                out_a.append(int(keys[i]))
+                out_b.append(int(keys[i]) + 1)
                 # half-up rounding (SQL round semantics, not banker's)
                 out_j.append(
                     np.floor(inter / union * 1e6 + 0.5) / 1e6
                     if union else 1.0)
-            i = j + 1
         return pa.table({
             "doc_a": pa.array(out_a, type=pa.int64()),
             "doc_b": pa.array(out_b, type=pa.int64()),
             "jacc": pa.array(out_j, type=pa.float64()),
         })
 
-    return (
+    return keyed_fold(
         ds.select_columns([id_col, text_col])
-        .map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=["pair_key"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(emit, batch_format="pyarrow", zero_copy_batch=True),
+        ["pair_key"], fold, num_partitions, order_by=["member"])
 
 
 def exact_top_tokens(ds, text_col: str = "text", k: int = 20,
@@ -234,21 +214,15 @@ def exact_top_tokens(ds, text_col: str = "text", k: int = 20,
                       "cnt": vc.field("counts").cast(pa.int64())})
         return t.filter(pc.not_equal(t.column("token"), ""))
 
-    def fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({"token": pa.array([], type=pa.string()),
-                             "cnt": pa.array([], type=pa.int64())})
+    def fold(batch: pa.Table, _starts) -> pa.Table:
         t = batch.group_by("token").aggregate([("cnt", "sum")])
         return pa.table({"token": t.column("token"),
                          "cnt": t.column("cnt_sum").cast(pa.int64())})
 
-    folded = (
+    folded = keyed_fold(
         ds.select_columns([text_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=["token"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["token"], fold, num_partitions, order_by=None)
     # per-partition winners only (k rows per block) travel to the driver
     def topk_block(batch: pa.Table) -> pa.Table:
         idx = pc.select_k_unstable(batch, k=min(k, len(batch)),
@@ -309,23 +283,13 @@ def hamming_near_dup_pairs(ds, id_col: str = "doc_id",
             "simhash": pa.array(np.concatenate(shs), type=pa.uint64()),
         })
 
-    def pairs_block(batch: pa.Table) -> pa.Table:
+    def pairs_block(batch: pa.Table, starts) -> pa.Table:
         empty = pa.table({"doc_a": pa.array([], type=pa.int64()),
                           "doc_b": pa.array([], type=pa.int64()),
                           "hamming": pa.array([], type=pa.int64())})
-        if len(batch) == 0:
-            return empty
-        bk = batch.column("band_key").to_numpy(zero_copy_only=False)
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        sh = batch.column("simhash").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, bk))
-        bk, ids, sh = bk[order], ids[order], sh[order]
-        newgrp = np.ones(len(bk), dtype=bool)
-        newgrp[1:] = bk[1:] != bk[:-1]
-        starts = np.flatnonzero(newgrp)
-        ends = np.concatenate([starts[1:], [len(bk)]])
+        ids, sh = np_col(batch, "doc_id"), np_col(batch, "simhash")
         a_o, b_o, h_o = [], [], []
-        for s, e in zip(starts, ends):
+        for s, e in zip(starts, segment_ends(starts, len(batch))):
             mem_ids, first = np.unique(ids[s:e], return_index=True)
             g = len(mem_ids)
             if g < 2:
@@ -351,24 +315,19 @@ def hamming_near_dup_pairs(ds, id_col: str = "doc_id",
             "hamming": pa.array(np.concatenate(h_o).astype(np.int64)),
         })
 
-    def dedup(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
+    def dedup(batch: pa.Table, _starts) -> pa.Table:
         return batch.group_by(["doc_a", "doc_b"]).aggregate(
             [("hamming", "min")]).rename_columns(
             ["doc_a", "doc_b", "hamming"])
 
-    return (
+    pairs = keyed_fold(
         ds.select_columns([id_col, hash_col])
         .map_batches(emit_bands, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .repartition(num_partitions, keys=["band_key"])
-        .map_batches(pairs_block, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-        .repartition(num_partitions, keys=["doc_a", "doc_b"])
-        .map_batches(dedup, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+                     zero_copy_batch=True),
+        ["band_key"], pairs_block, num_partitions, order_by=["doc_id"])
+    return keyed_fold(pairs, ["doc_a", "doc_b"],
+                      dedup, num_partitions,
+                      order_by=None)
 
 
 def simhash_near_dup_pairs(ds, id_col: str = "doc_id",
@@ -493,9 +452,7 @@ def _hot_token_df(sets_ds, hot_k: int, num_partitions: int):
         return pa.table({"tok": pa.array(toks, type=pa.uint64()),
                          "df": pa.array(counts.astype(np.int64))})
 
-    def fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
+    def fold(batch: pa.Table, _starts) -> pa.Table:
         t = batch.group_by("tok").aggregate([("df", "sum")])
         t = t.rename_columns(["tok", "df"])
         if len(t) > hot_k:
@@ -505,13 +462,11 @@ def _hot_token_df(sets_ds, hot_k: int, num_partitions: int):
             t = t.take(idx)
         return t
 
-    winners = (
+    winners = keyed_fold(
         sets_ds.select_columns(["toks"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=["tok"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    ).take_all()
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["tok"], fold, num_partitions,
+        order_by=None).take_all()
     if not winners:
         return np.array([], dtype=np.uint64), np.array([], dtype=np.int64)
     toks = np.array([r["tok"] for r in winners], dtype=np.uint64)
@@ -642,21 +597,11 @@ def _jaccard_join_core(sets_ds, tau: float, num_partitions: int,
             "sz": pa.array(szs[doc_idx[srt]][keep], type=pa.int32()),
         })
 
-    def candidate_fold(batch: pa.Table) -> pa.Table:
+    def candidate_fold(batch: pa.Table, starts) -> pa.Table:
         empty = pa.table({"a": pa.array([], type=pa.int64()),
                           "b": pa.array([], type=pa.int64())})
-        if len(batch) == 0:
-            return empty
-        tok = as_array(batch.column("tok")).to_numpy(zero_copy_only=False)
-        doc = as_array(batch.column("doc")).to_numpy(zero_copy_only=False)
-        sz = as_array(batch.column("sz")).to_numpy(zero_copy_only=False)
-        srt = np.lexsort((doc, tok))
-        tok, doc, sz = tok[srt], doc[srt], sz[srt]
-        first = np.empty(len(tok), dtype=bool)
-        first[0] = True
-        np.not_equal(tok[1:], tok[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        glens = np.diff(np.concatenate([starts, [len(tok)]]))
+        doc, sz = np_col(batch, "doc"), np_col(batch, "sz")
+        glens = np.diff(np.append(starts, len(batch)))
         a_o, b_o = [], []
         for g in np.unique(glens):
             if g < 2:
@@ -686,21 +631,15 @@ def _jaccard_join_core(sets_ds, tau: float, num_partitions: int,
             "b": pa.array(np.concatenate(b_o), type=pa.int64()),
         })
 
-    def dedup(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
+    def dedup(batch: pa.Table, _starts) -> pa.Table:
         return batch.group_by(["a", "b"]).aggregate([])
 
-    pairs = (
+    cands = keyed_fold(
         sets_ds.map_batches(emit_prefix, batch_format="pyarrow",
-                            zero_copy_batch=True)
-        .repartition(num_partitions, keys=["tok"])
-        .map_batches(candidate_fold, batch_format="pyarrow",
-                     batch_size=None, zero_copy_batch=True)
-        .repartition(num_partitions, keys=["a", "b"])
-        .map_batches(dedup, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+                            zero_copy_batch=True),
+        ["tok"], candidate_fold, num_partitions, order_by=["doc"])
+    pairs = keyed_fold(cands, ["a", "b"], dedup,
+                       num_partitions, order_by=None)
 
     out_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
                             ("jacc", pa.float64())])
@@ -805,16 +744,13 @@ def _jaccard_join_core(sets_ds, tau: float, num_partitions: int,
     # repartition exchanges in one fused DAG deadlocks small sessions
     # (same fused-chain pathology the flagship verify stage pins against,
     # stages/verify.py:336-346)
-    step1 = (
+    step1 = keyed_fold(
         pairs.materialize().map_batches(tag_pairs, batch_format="pyarrow",
                                         zero_copy_batch=True)
         .union(sets_ds.map_batches(tag_sets, batch_format="pyarrow",
-                                   zero_copy_batch=True))
-        .repartition(num_partitions, keys=["key"])
-        .map_batches(lambda b: attach(b, step1_cols),
-                     batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    ).materialize()
+                                   zero_copy_batch=True)),
+        ["key"], lambda b, _starts: attach(b, step1_cols),
+        num_partitions, order_by=None).materialize()
 
     def tag_step1(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -834,16 +770,13 @@ def _jaccard_join_core(sets_ds, tau: float, num_partitions: int,
     step2_cols = [("a", pa.int64()), ("b", pa.int64()),
                   ("toks_a", pa.large_binary()),
                   ("toks_b", pa.large_binary())]
-    step2 = (
+    step2 = keyed_fold(
         step1.map_batches(tag_step1, batch_format="pyarrow",
                           zero_copy_batch=True)
         .union(sets_ds.map_batches(tag_sets2, batch_format="pyarrow",
-                                   zero_copy_batch=True))
-        .repartition(num_partitions, keys=["key"])
-        .map_batches(lambda b: attach(b, step2_cols),
-                     batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+                                   zero_copy_batch=True)),
+        ["key"], lambda b, _starts: attach(b, step2_cols),
+        num_partitions, order_by=None)
 
     def finish(batch: pa.Table) -> pa.Table:
         a = as_array(batch.column("a")).to_numpy(zero_copy_only=False)
@@ -895,42 +828,24 @@ def consecutive_edit_distance(ds, id_col: str = "doc_id",
             "pref": pa.array(payload, type=pa.string()),
         })
 
-    def fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-                "dist": pa.array([], type=pa.int64()),
-            })
-        keys = as_array(batch.column("pair_key")) \
-            .to_numpy(zero_copy_only=False)
-        member = as_array(batch.column("member")) \
-            .to_numpy(zero_copy_only=False)
+    def fold(batch: pa.Table, starts) -> pa.Table:
+        keys = np_col(batch, "pair_key")
         prefs = as_array(batch.column("pref")).to_pylist()
-        order = np.lexsort((member, keys))
-        sk = keys[order]
-        first = np.empty(len(sk), dtype=bool)
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(sk)))
+        lens = segment_ends(starts, len(batch)) - starts
         full = starts[lens == 2]  # pairs with both members present
-        a_strs = [prefs[order[s]] for s in full]
-        b_strs = [prefs[order[s + 1]] for s in full]
+        a_strs = [prefs[s] for s in full]
+        b_strs = [prefs[s + 1] for s in full]
         dist = levenshtein_pairs(a_strs, b_strs, prefix_chars)
         return pa.table({
-            "doc_a": pa.array(sk[full], type=pa.int64()),
-            "doc_b": pa.array(sk[full] + 1, type=pa.int64()),
+            "doc_a": pa.array(keys[full], type=pa.int64()),
+            "doc_b": pa.array(keys[full] + 1, type=pa.int64()),
             "dist": pa.array(dist, type=pa.int64()),
         })
 
-    return (
+    return keyed_fold(
         ds.select_columns([id_col, text_col])
-        .map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=["pair_key"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(emit, batch_format="pyarrow", zero_copy_batch=True),
+        ["pair_key"], fold, num_partitions, order_by=["member"])
 
 
 def line_dedup_rewrite(ds, key_col: str = "conv_id", idx_col: str = "turn_idx",
@@ -969,87 +884,48 @@ def line_dedup_rewrite(ds, key_col: str = "conv_id", idx_col: str = "turn_idx",
             "unit_hash": pa.array(h1, type=pa.uint64()),
         })
 
-    empty_mid = pa.table({
-        key_col: pa.array([], type=pa.string()),
-        idx_col: pa.array([], type=pa.int64()),
-        text_col: pa.array([], type=pa.string()),
-        "keep": pa.array([], type=pa.bool_()),
-    })
-
-    def keep_fold(batch: pa.Table) -> pa.Table:
-        # identical texts are co-located by unit_hash: sort the block by
-        # (text, key, idx) in C++ and keep each text group's first row
-        if len(batch) == 0:
-            return empty_mid
-        order = pc.sort_indices(batch, sort_keys=[
-            (text_col, "ascending"), (key_col, "ascending"),
-            (idx_col, "ascending")])
-        texts = as_array(batch.column(text_col))
-        codes = as_array(pc.dictionary_encode(texts)).indices \
-            .to_numpy(zero_copy_only=False)
-        codes_s = codes[order.to_numpy(zero_copy_only=False)]
-        keep = np.empty(len(codes_s), dtype=bool)
-        if len(keep):
-            keep[0] = True
-            np.not_equal(codes_s[1:], codes_s[:-1], out=keep[1:])
-        keep_arr = pa.array(keep)
-        texts_s = texts.take(order)
+    def keep_fold(batch: pa.Table, starts) -> pa.Table:
+        # identical texts are co-located by unit_hash, sorted by
+        # (text, key, idx): keep each text group's first row
+        keep = pa.array(run_heads(starts, sort_key(batch.column(text_col))))
         return pa.table({
-            key_col: as_array(batch.column(key_col)).take(order),
-            idx_col: as_array(batch.column(idx_col)).take(order),
+            key_col: batch.column(key_col),
+            idx_col: batch.column(idx_col),
             # dropped units ship '' — the rewrite only needs their count
-            text_col: pc.if_else(keep_arr, texts_s, ""),
-            "keep": keep_arr,
+            text_col: pc.if_else(keep, batch.column(text_col), ""),
+            "keep": keep,
         })
 
-    def rewrite_fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({
-                key_col: pa.array([], type=pa.string()),
-                "n_kept": pa.array([], type=pa.int64()),
-                "n_dropped": pa.array([], type=pa.int64()),
-                text_col: pa.array([], type=pa.string()),
-            })
-        dict_arr = as_array(pc.dictionary_encode(
-            as_array(batch.column(key_col))))
-        codes = dict_arr.indices.to_numpy(zero_copy_only=False)
-        n_keys = len(dict_arr.dictionary)
-        keep = as_array(batch.column("keep")).to_numpy(
-            zero_copy_only=False)
-        idx = as_array(batch.column(idx_col)).to_numpy(
-            zero_copy_only=False)
-        n_all = np.bincount(codes, minlength=n_keys)
-        n_kept = np.bincount(codes[keep], minlength=n_keys)
-        # joined text from surviving units in idx order; keys with zero
-        # survivors get an empty list -> binary_join yields ''
-        kcodes, kidx = codes[keep], idx[keep]
-        korder = np.lexsort((kidx, kcodes))
-        counts = np.bincount(kcodes[korder], minlength=n_keys) \
-            if len(korder) else np.zeros(n_keys, dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        texts = as_array(batch.column(text_col))
-        kept_texts = texts.take(pa.array(np.flatnonzero(keep)[korder]))
+    def rewrite_fold(batch: pa.Table, starts) -> pa.Table:
+        """Block sorted by (key, idx): joined text from the surviving
+        units in idx order; keys with zero survivors get an empty list
+        -> binary_join yields ''."""
+        keep = np_col(batch, "keep")
+        n_all = np.diff(np.append(starts, len(batch)))
+        n_kept = np.bincount(segment_ids(starts, len(batch))[keep],
+                             minlength=len(starts))
+        kept_texts = as_array(batch.column(text_col)).filter(
+            pa.array(keep))
         lists = pa.ListArray.from_arrays(
-            pa.array(offsets, type=pa.int32()),
+            pa.array(np.concatenate([[0], np.cumsum(n_kept)]),
+                     type=pa.int32()),
             kept_texts.cast(pa.string())
             if kept_texts.type != pa.string() else kept_texts)
         return pa.table({
-            key_col: dict_arr.dictionary.cast(pa.string()),
+            key_col: as_array(batch.column(key_col)).take(
+                pa.array(starts)).cast(pa.string()),
             "n_kept": pa.array(n_kept.astype(np.int64)),
             "n_dropped": pa.array((n_all - n_kept).astype(np.int64)),
             text_col: pc.binary_join(lists, sep),
         })
 
-    return (
+    kept = keyed_fold(
         ds.select_columns([key_col, idx_col, text_col])
-        .map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=["unit_hash"])
-        .map_batches(keep_fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-        .repartition(num_partitions, keys=[key_col])
-        .map_batches(rewrite_fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True),
+        ["unit_hash"], keep_fold, num_partitions,
+        order_by=[text_col, key_col, idx_col])
+    return keyed_fold(kept, [key_col], rewrite_fold, num_partitions,
+                      order_by=[idx_col])
 
 
 def exact_dedup_keep_best(ds, id_col: str = "doc_id",
@@ -1063,8 +939,8 @@ def exact_dedup_keep_best(ds, id_col: str = "doc_id",
 
     Returns ``(keeper_id, n_copies, keeper_score)``. Same shape as
     :func:`exact_dedup` (one text-hash keyed shuffle + in-block fold);
-    the fold sorts by (text, -score, id) in C++ and takes each text
-    group's first row.
+    the fold sorts each text-hash run by (text, -score, id) and takes
+    each text group's first row.
     """
 
     def add_hash(batch: pa.Table) -> pa.Table:
@@ -1077,27 +953,11 @@ def exact_dedup_keep_best(ds, id_col: str = "doc_id",
             "text_hash": pa.array(h1, type=pa.uint64()),
         })
 
-    def fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({
-                "keeper_id": pa.array([], type=pa.int64()),
-                "n_copies": pa.array([], type=pa.int64()),
-                "keeper_score": pa.array([], type=pa.int64()),
-            })
-        order = pc.sort_indices(batch, sort_keys=[
-            (text_col, "ascending"), (score_col, "descending"),
-            (id_col, "ascending")])
-        codes = as_array(pc.dictionary_encode(
-            as_array(batch.column(text_col)))).indices \
-            .to_numpy(zero_copy_only=False)
-        onp = order.to_numpy(zero_copy_only=False)
-        codes_s = codes[onp]
-        firsts = np.empty(len(codes_s), dtype=bool)
-        firsts[0] = True
-        np.not_equal(codes_s[1:], codes_s[:-1], out=firsts[1:])
-        starts = np.flatnonzero(firsts)
-        sizes = np.diff(np.append(starts, len(codes_s)))
-        win = pa.array(onp[starts])
+    def fold(batch: pa.Table, starts) -> pa.Table:
+        firsts = np.flatnonzero(
+            run_heads(starts, sort_key(batch.column(text_col))))
+        sizes = np.diff(np.append(firsts, len(batch)))
+        win = pa.array(firsts)
         return pa.table({
             "keeper_id": as_array(batch.column(id_col)).take(win)
                 .cast(pa.int64()),
@@ -1106,13 +966,11 @@ def exact_dedup_keep_best(ds, id_col: str = "doc_id",
                 .cast(pa.int64()),
         })
 
-    return (
+    return keyed_fold(
         ds.select_columns([id_col, text_col, score_col])
-        .map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=["text_hash"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True),
+        ["text_hash"], fold, num_partitions,
+        order_by=[text_col, "-" + score_col, id_col])
 
 
 # ---------------------------------------------------------------------------
@@ -1221,31 +1079,22 @@ def edit_distance_join(ds, id_col: str, str_col: str, *, max_ed: int = 1,
                          "id": ids.take(take),
                          "s": strs.take(take)})
 
-    def pairs_in_bucket(b: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "a": pa.array([], type=pa.int64()),
-            "b": pa.array([], type=pa.int64()),
-            "sa": pa.array([], type=pa.string()),
-            "sb": pa.array([], type=pa.string()),
-        })
-        if len(b) == 0:
-            return empty
-        key = b.column("key").to_numpy(zero_copy_only=False)
-        ids = b.column("id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, key))
-        k_s, id_s = key[order], ids[order]
-        first = np.empty(len(k_s), dtype=bool)
-        first[0] = True
-        np.not_equal(k_s[1:], k_s[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(k_s)))
+    def pairs_in_bucket(b: pa.Table, starts) -> pa.Table:
+        """Block sorted by (key, id)."""
+        id_s = np_col(b, "id")
+        lens = np.diff(np.append(starts, len(b)))
         # within-bucket pair expansion, fully vectorized: the element at
         # in-bucket position p pairs with its p predecessors
-        pos = np.arange(len(k_s)) - np.repeat(starts, lens)
+        pos = rank_in_segment(starts, len(b))
         n_pairs = int(pos.sum())
         if n_pairs == 0:
-            return empty
-        j_idx = np.repeat(np.arange(len(k_s)), pos)
+            return pa.table({
+                "a": pa.array([], type=pa.int64()),
+                "b": pa.array([], type=pa.int64()),
+                "sa": pa.array([], type=pa.string()),
+                "sb": pa.array([], type=pa.string()),
+            })
+        j_idx = np.repeat(np.arange(len(b)), pos)
         cum0 = np.cumsum(pos) - pos
         i_idx = (np.arange(n_pairs) - np.repeat(cum0, pos)
                  + np.repeat(np.repeat(starts, lens), pos))
@@ -1256,52 +1105,33 @@ def edit_distance_join(ds, id_col: str, str_col: str, *, max_ed: int = 1,
         swap = id_s[i_idx] > id_s[j_idx]
         ii = np.where(swap, j_idx, i_idx)
         jj = np.where(swap, i_idx, j_idx)
-        strs = as_array(b.column("s")).take(pa.array(order.astype(np.int64)))
+        strs = as_array(b.column("s"))
         return pa.table({
             "a": pa.array(a), "b": pa.array(bb),
             "sa": strs.take(pa.array(ii.astype(np.int64))),
             "sb": strs.take(pa.array(jj.astype(np.int64))),
         })
 
-    def verify(b: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "id_a": pa.array([], type=pa.int64()),
-            "id_b": pa.array([], type=pa.int64()),
-            "ed": pa.array([], type=pa.int64()),
-        })
-        if len(b) == 0:
-            return empty
-        a = b.column("a").to_numpy(zero_copy_only=False)
-        bb = b.column("b").to_numpy(zero_copy_only=False)
-        order = np.lexsort((bb, a))
-        a_s, b_s = a[order], bb[order]
-        first = np.empty(len(a_s), dtype=bool)
-        first[0] = True
-        first[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-        keep = order[first]
-        sa = as_array(b.column("sa")).take(
-            pa.array(keep.astype(np.int64))).to_pylist()
-        sb = as_array(b.column("sb")).take(
-            pa.array(keep.astype(np.int64))).to_pylist()
+    def verify(b: pa.Table, starts) -> pa.Table:
+        d = b.take(pa.array(starts))  # one row per (a, b)
+        sa = as_array(d.column("sa")).to_pylist()
+        sb = as_array(d.column("sb")).to_pylist()
         maxlen = max((len(x) for x in sa + sb), default=1)
         ed = levenshtein_pairs(sa, sb, prefix_chars=max(32, maxlen))
         ok = ed <= max_ed
         return pa.table({
-            "id_a": pa.array(a_s[first][ok]),
-            "id_b": pa.array(b_s[first][ok]),
+            "id_a": pa.array(np_col(d, "a")[ok]),
+            "id_b": pa.array(np_col(d, "b")[ok]),
             "ed": pa.array(ed[ok].astype(np.int64)),
         })
 
     P = auto_partitions(ds.count(), 250_000, num_partitions)
-    return (ds.select_columns([id_col, str_col])
-            .map_batches(emit_keys, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(P, keys=["key"])
-            .map_batches(pairs_in_bucket, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
-            .repartition(max(2, P // 2), keys=["a", "b"])
-            .map_batches(verify, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    pairs = keyed_fold(
+        ds.select_columns([id_col, str_col])
+        .map_batches(emit_keys, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        ["key"], pairs_in_bucket, P, order_by=["id"])
+    return keyed_fold(pairs, ["a", "b"], verify, max(2, P // 2))
 
 
 def cluster_survivors(clusters_ds, assembled_ds, *,
@@ -1323,11 +1153,7 @@ def cluster_survivors(clusters_ds, assembled_ds, *,
     from .context import auto_partitions
     from .join import hash_join
 
-    _LEN = pa.schema([(conv_col, pa.string()), ("n_chars", pa.int64())])
-
     def lengths(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _LEN.empty_table()
         return pa.table({
             conv_col: b.column(conv_col).cast(pa.string()),
             "n_chars": pc.utf8_length(
@@ -1339,37 +1165,20 @@ def cluster_survivors(clusters_ds, assembled_ds, *,
                                     zero_copy_batch=True)
     joined = hash_join(clusters_ds, lens, on=(conv_col, conv_col))
 
-    _OUT = pa.schema([
-        ("cluster_id", pa.string()), ("survivor_conv_id", pa.string()),
-        ("n_members", pa.int64()), ("survivor_chars", pa.int64())])
-
-    def best_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _OUT.empty_table()
-        cl = b.column(cluster_col).to_numpy(zero_copy_only=False)
-        conv = b.column(conv_col).to_numpy(zero_copy_only=False)
-        nch = b.column("n_chars").to_numpy(zero_copy_only=False)
-        # (cluster asc, n_chars desc, conv asc): first row per cluster
-        # is the survivor
-        order = np.lexsort((conv, -nch, cl))
-        cl_s = cl[order]
-        first = np.empty(len(cl_s), dtype=bool)
-        first[0] = True
-        first[1:] = cl_s[1:] != cl_s[:-1]
-        starts = np.flatnonzero(first)
-        members = np.diff(np.append(starts, len(cl_s)))
-        sel = order[first]
+    def best_fold(b: pa.Table, starts) -> pa.Table:
+        """Block sorted by (cluster asc, n_chars desc, conv asc): the
+        first row per cluster is the survivor."""
+        first = b.take(pa.array(starts))
         return pa.table({
-            "cluster_id": pa.array(cl[sel], type=pa.string()),
-            "survivor_conv_id": pa.array(conv[sel], type=pa.string()),
-            "n_members": pa.array(members, type=pa.int64()),
-            "survivor_chars": pa.array(nch[sel], type=pa.int64()),
+            "cluster_id": first.column(cluster_col).cast(pa.string()),
+            "survivor_conv_id": first.column(conv_col).cast(pa.string()),
+            "n_members": pa.array(np.diff(np.append(starts, len(b)))),
+            "survivor_chars": first.column("n_chars").cast(pa.int64()),
         })
 
     P = auto_partitions(clusters_ds.count(), 250_000, num_partitions)
-    return (joined.repartition(P, keys=[cluster_col])
-            .map_batches(best_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(joined, [cluster_col], best_fold, P,
+                      order_by=["-n_chars", conv_col])
 
 
 def pair_jaccard_histogram(verified_ds, *, bins: int = 20):

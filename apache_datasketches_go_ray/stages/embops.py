@@ -27,6 +27,7 @@ import ray
 from .arrow_util import as_array
 from .ann import _embeddings_matrix
 from .context import gather_table
+from .keyed import keyed_fold
 
 
 def _round4(x: np.ndarray) -> np.ndarray:
@@ -56,10 +57,8 @@ def _centroid_partial(batch: pa.Table, emb_col: str,
                      "sums": pa.ListArray.from_arrays(offs, flat)})
 
 
-def _fold_partials(batch: pa.Table) -> pa.Table:
+def _fold_partials(batch: pa.Table, _starts) -> pa.Table:
     """Fold co-located per-label partials (block holds whole labels)."""
-    if len(batch) == 0:
-        return batch
     lab = batch.column("label").to_numpy(zero_copy_only=False)
     n = batch.column("n").to_numpy(zero_copy_only=False)
     sums_col = as_array(batch.column("sums"))
@@ -82,12 +81,11 @@ def _fold_partials(batch: pa.Table) -> pa.Table:
 
 def _centroid_partials_ds(ds, emb_col: str, label_col: str,
                           num_partitions: int):
-    return (ds.map_batches(
-                lambda b: _centroid_partial(b, emb_col, label_col),
-                batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(num_partitions, keys=["label"])
-            .map_batches(_fold_partials, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        ds.map_batches(
+            lambda b: _centroid_partial(b, emb_col, label_col),
+            batch_format="pyarrow", zero_copy_batch=True),
+        ["label"], _fold_partials, num_partitions, order_by=None)
 
 
 def label_centroids(ds, emb_col: str = "embedding",
@@ -173,9 +171,7 @@ def centroid_confusion(ds, emb_col: str = "embedding",
             "assigned": pa.array(lbs[nz % len(lbs)], type=pa.int64()),
             "n": pa.array(cnt[nz], type=pa.int64())})
 
-    def fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
+    def fold(batch: pa.Table, _starts) -> pa.Table:
         lab = batch.column("label").to_numpy(zero_copy_only=False)
         asg = batch.column("assigned").to_numpy(zero_copy_only=False)
         n = batch.column("n").to_numpy(zero_copy_only=False)
@@ -187,11 +183,10 @@ def centroid_confusion(ds, emb_col: str = "embedding",
                          "assigned": pa.array(uniq[:, 1], type=pa.int64()),
                          "n": pa.array(out, type=pa.int64())})
 
-    return (ds.map_batches(assign_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(num_partitions, keys=["label"])
-            .map_batches(fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        ds.map_batches(assign_partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["label"], fold, num_partitions, order_by=None)
 
 
 def norm_stats_by_label(ds, emb_col: str = "embedding",
@@ -226,13 +221,7 @@ def norm_stats_by_label(ds, emb_col: str = "embedding",
                          "mn": pa.array(mn, type=pa.float64()),
                          "mx": pa.array(mx, type=pa.float64())})
 
-    def fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({"label": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64()),
-                             "mean_norm": pa.array([], type=pa.float64()),
-                             "min_norm": pa.array([], type=pa.float64()),
-                             "max_norm": pa.array([], type=pa.float64())})
+    def fold(batch: pa.Table, _starts) -> pa.Table:
         lab = batch.column("label").to_numpy(zero_copy_only=False)
         uniq, codes = np.unique(lab, return_inverse=True)
         cnt = np.zeros(len(uniq), dtype=np.int64)
@@ -254,11 +243,10 @@ def norm_stats_by_label(ds, emb_col: str = "embedding",
             "min_norm": pa.array(_round4(mn), type=pa.float64()),
             "max_norm": pa.array(_round4(mx), type=pa.float64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(num_partitions, keys=["label"])
-            .map_batches(fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["label"], fold, num_partitions, order_by=None)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ import pyarrow.compute as pc
 from .arrow_util import as_array
 from .cluster import cluster_edges
 from .context import auto_partitions
+from .keyed import keyed_fold, np_col, segment_ends
+
 
 def connected_components(edges_ds, src: str = "a", dst: str = "b", *,
                          num_partitions: int = 8):
@@ -92,22 +94,17 @@ def _canon_block(b: pa.Table, src: str, dst: str) -> pa.Table:
         ["u", "v"]).aggregate([])
 
 
-def _dedup_uv(b: pa.Table) -> pa.Table:
-    if len(b) == 0:
-        return _EDGE_EMPTY
+def _dedup_uv(b: pa.Table, _starts) -> pa.Table:
     return b.group_by(["u", "v"]).aggregate([])
 
 
 def _canonical_edges(edges_ds, src: str, dst: str, P: int):
     """Distinct canonical (u < v) edge table: in-block canon + dedup,
     (u, v)-keyed shuffle, in-block global dedup. Materialized."""
-    return (edges_ds
-            .map_batches(lambda b: _canon_block(b, src, dst),
-                         batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(P, keys=["u", "v"])
-            .map_batches(_dedup_uv, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
-            .materialize())
+    return keyed_fold(
+        edges_ds.map_batches(lambda b: _canon_block(b, src, dst),
+                             batch_format="pyarrow", zero_copy_batch=True),
+        ["u", "v"], _dedup_uv, P, order_by=None).materialize()
 
 
 def _bidirectional(canon_ds):
@@ -134,19 +131,15 @@ def _degrees(canon_ds, P: int):
         return pa.table({"node": pa.concat_arrays(
             [as_array(b.column("u")), as_array(b.column("v"))])})
 
-    def deg_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({"node": pa.array([], type=pa.int64()),
-                             "deg": pa.array([], type=pa.int64())})
+    def deg_fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by("node").aggregate([([], "count_all")])
         return pa.table({"node": g.column("node"),
                          "deg": g.column("count_all").cast(pa.int64())})
 
-    return (canon_ds.map_batches(endpoints, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-            .repartition(P, keys=["node"])
-            .map_batches(deg_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        canon_ds.map_batches(endpoints, batch_format="pyarrow",
+                             zero_copy_batch=True),
+        ["node"], deg_fold, P, order_by=None)
 
 
 _RANK_EMPTY = pa.table({"node": pa.array([], type=pa.int64()),
@@ -215,9 +208,7 @@ def pagerank_ppb(edges_ds, src: str = "a", dst: str = "b", *,
         return pa.table({"t": as_array(b.column("t")),
                          "c": pa.array(r // d)})
 
-    def rank_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _RANK_EMPTY
+    def rank_fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by("t").aggregate([("c", "sum")])
         s = g.column("c_sum").cast(pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -229,13 +220,10 @@ def pagerank_ppb(edges_ds, src: str = "a", dst: str = "b", *,
     for _ in range(iterations):
         with_rank = hash_join(edges_deg, ranks, on=("s", "node"),
                               num_partitions=P)
-        ranks = (with_rank
-                 .map_batches(contrib, batch_format="pyarrow",
-                              zero_copy_batch=True)
-                 .repartition(P, keys=["t"])
-                 .map_batches(rank_fold, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
-                 .materialize())
+        ranks = keyed_fold(
+            with_rank.map_batches(contrib, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+            ["t"], rank_fold, P, order_by=None).materialize()
     return ranks
 
 
@@ -287,11 +275,9 @@ def bfs_hops(edges_ds, src: str = "a", dst: str = "b", *,
             }).group_by(["node", "hops"]).aggregate([])
         return fn
 
-    def improved_block(b: pa.Table) -> pa.Table:
+    def improved_block(b: pa.Table, _starts) -> pa.Table:
         """tagged union of settled (hops >= 0 real) and candidates
         (hops = current h): emit candidate nodes with NO settled row."""
-        if len(b) == 0:
-            return _HOPS_EMPTY
         nodes = as_array(b.column("node")).to_numpy(zero_copy_only=False)
         hops = as_array(b.column("hops")).to_numpy(zero_copy_only=False)
         tag = as_array(b.column("is_settled")).to_numpy(
@@ -332,10 +318,8 @@ def bfs_hops(edges_ds, src: str = "a", dst: str = "b", *,
                   .union(cands.map_batches(tag(False),
                                            batch_format="pyarrow",
                                            zero_copy_batch=True)))
-        frontier = (tagged.repartition(P, keys=["node"])
-                    .map_batches(improved_block, batch_format="pyarrow",
-                                 batch_size=None, zero_copy_batch=True)
-                    .materialize())
+        frontier = keyed_fold(tagged, ["node"], improved_block, P,
+                              order_by=None).materialize()
         if frontier.count() == 0:
             break
         settled = settled.union(frontier).materialize()
@@ -403,18 +387,9 @@ def triangle_counts(edges_ds, src: str = "a", dst: str = "b", *,
     # Wedges: for each source s, all unordered out-neighbor pairs. The
     # closure key is the canonical (min, max) of the pair so it meets the
     # canonical edge table on the same partitioning.
-    def wedges(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _WEDGE_EMPTY
-        s = as_array(b.column("s")).to_numpy(zero_copy_only=False)
-        t = as_array(b.column("t")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((t, s))
-        ss, ts = s[order], t[order]
-        first = np.empty(len(ss), dtype=bool)
-        first[0] = True
-        np.not_equal(ss[1:], ss[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(ss)))
+    def wedges(b: pa.Table, starts) -> pa.Table:
+        ss, ts = np_col(b, "s"), np_col(b, "t")
+        lens = np.diff(np.append(starts, len(b)))
         a_parts, b_parts, c_parts = [], [], []
         for g in np.unique(lens):
             if g < 2:
@@ -433,9 +408,7 @@ def triangle_counts(edges_ds, src: str = "a", dst: str = "b", *,
                          "v": pa.array(np.concatenate(b_parts)),
                          "center": pa.array(np.concatenate(c_parts))})
 
-    wedge_ds = (oriented.repartition(P, keys=["s"])
-                .map_batches(wedges, batch_format="pyarrow",
-                             batch_size=None, zero_copy_batch=True))
+    wedge_ds = keyed_fold(oriented, ["s"], wedges, P, order_by=["t"])
 
     # Tag-union closure: edges carry center = -1 (node ids are
     # non-negative); wedges carry their center. After the (u, v) keyed
@@ -450,9 +423,7 @@ def triangle_counts(edges_ds, src: str = "a", dst: str = "b", *,
     tagged = wedge_ds.union(canon.map_batches(
         tag_edge, batch_format="pyarrow", zero_copy_batch=True))
 
-    def close_block(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _TRI_EMPTY
+    def close_block(b: pa.Table, _starts) -> pa.Table:
         u = as_array(b.column("u")).to_numpy(zero_copy_only=False)
         v = as_array(b.column("v")).to_numpy(zero_copy_only=False)
         c = as_array(b.column("center")).to_numpy(zero_copy_only=False)
@@ -479,21 +450,17 @@ def triangle_counts(edges_ds, src: str = "a", dst: str = "b", *,
         return pa.table({"node": pa.array(nodes),
                          "n_triangles": pa.array(cnt.astype(np.int64))})
 
-    def count_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _TRI_EMPTY
+    def count_fold(b: pa.Table, _starts) -> pa.Table:
         g = b.group_by("node").aggregate([("n_triangles", "sum")])
         return pa.table({
             "node": g.column("node"),
             "n_triangles": g.column("n_triangles_sum").cast(pa.int64()),
         })
 
-    return (tagged.repartition(P, keys=["u", "v"])
-            .map_batches(close_block, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True)
-            .repartition(max(P // 2, 1), keys=["node"])
-            .map_batches(count_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        keyed_fold(tagged, ["u", "v"], close_block, P, order_by=None),
+        ["node"], count_fold,
+        max(P // 2, 1), order_by=None)
 
 
 _CORE_EMPTY = pa.table({"node": pa.array([], type=pa.int64()),
@@ -546,9 +513,7 @@ def kcore(edges_ds, src: str = "a", dst: str = "b", *, k: int = 2,
             return pa.table({"u": z, "v": z, "key": b.column("node"),
                              "bad": pa.array(np.ones(n, dtype=bool))})
 
-        def drop(b: pa.Table) -> pa.Table:
-            if len(b) == 0:
-                return _EDGE_EMPTY
+        def drop(b: pa.Table, _starts) -> pa.Table:
             bad = b.column("bad").to_numpy(zero_copy_only=False)
             keys = b.column("key").to_numpy(zero_copy_only=False)
             bad_keys = np.unique(keys[bad])
@@ -563,9 +528,7 @@ def kcore(edges_ds, src: str = "a", dst: str = "b", *, k: int = 2,
                   .union(bad_nodes_ds.map_batches(
                       tag_bad, batch_format="pyarrow",
                       zero_copy_batch=True)))
-        return (tagged.repartition(P, keys=["key"])
-                .map_batches(drop, batch_format="pyarrow",
-                             batch_size=None, zero_copy_batch=True))
+        return keyed_fold(tagged, ["key"], drop, P, order_by=None)
 
     for _ in range(max_rounds):
         if edges.count() == 0:
@@ -623,45 +586,21 @@ def bridge_edges(edges_ds, src: str = "a", dst: str = "b", *,
         batch_format="pyarrow", zero_copy_batch=True)
     tagged = hash_join(canon, lab, on=("u", "u"))
 
-    def per_component(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                "component": pa.array([], type=pa.int64()),
-                "u": pa.array([], type=pa.int64()),
-                "v": pa.array([], type=pa.int64()),
-                "is_bridge": pa.array([], type=pa.int64()),
-            })
-        comp = b.column("component").to_numpy(zero_copy_only=False)
-        uu = b.column("u").to_numpy(zero_copy_only=False)
-        vv = b.column("v").to_numpy(zero_copy_only=False)
+    def per_component(b: pa.Table, starts) -> pa.Table:
+        comp, uu, vv = (np_col(b, c) for c in ("component", "u", "v"))
         out_c, out_u, out_v, out_f = [], [], [], []
-        order = np.argsort(comp, kind="stable")
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and comp[order[j + 1]] == \
-                    comp[order[i]]:
-                j += 1
-            idx = order[i:j + 1]
-            c0 = int(comp[idx[0]])
+        for i, j in zip(starts, segment_ends(starts, len(b))):
             # _canon_block dedups per input block only; duplicates from
             # different blocks meet here — collapse to the simple graph
-            es = sorted({(int(uu[x]), int(vv[x])) for x in idx})
+            es = sorted(set(zip(uu[i:j].tolist(), vv[i:j].tolist())))
             if len(es) > max_component_edges:
-                for (eu, ev) in es:
-                    out_c.append(c0)
-                    out_u.append(eu)
-                    out_v.append(ev)
-                    out_f.append(-1)
-                i = j + 1
-                continue
-            bridges = _bridges_local(es)
-            for (eu, ev) in es:
-                out_c.append(c0)
-                out_u.append(eu)
-                out_v.append(ev)
-                out_f.append(1 if (eu, ev) in bridges else 0)
-            i = j + 1
+                out_f += [-1] * len(es)
+            else:
+                bridges = _bridges_local(es)
+                out_f += [1 if e in bridges else 0 for e in es]
+            out_c += [int(comp[i])] * len(es)
+            out_u += [e[0] for e in es]
+            out_v += [e[1] for e in es]
         return pa.table({
             "component": pa.array(out_c, type=pa.int64()),
             "u": pa.array(out_u, type=pa.int64()),
@@ -669,9 +608,7 @@ def bridge_edges(edges_ds, src: str = "a", dst: str = "b", *,
             "is_bridge": pa.array(out_f, type=pa.int64()),
         })
 
-    return (tagged.repartition(num_partitions, keys=["component"])
-            .map_batches(per_component, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(tagged, ["component"], per_component, num_partitions)
 
 
 def _bridges_local(edges: list) -> set:

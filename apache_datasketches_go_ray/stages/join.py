@@ -8,10 +8,9 @@ side's materialized size:
   (Acero) against it — map-only, zero shuffles. On a cluster this is the
   classic broadcast hash join (one copy per node via the object store).
 * **co-partition** (large right side): both sides are tagged, unioned,
-  hash-partitioned on the key (``repartition(P, keys=[...])`` co-locates
-  equal keys in one block) and joined per block with Acero — the
-  standard reduce-side join expressed purely with the engine's
-  key-colocating shuffle primitive, no special join operator actors.
+  co-located on the key by the engine's one keyed exchange
+  (``stages/keyed.keyed_fold``) and joined per block with Acero — the
+  standard reduce-side join, no special join operator actors.
 
 Inner join on a single key; column names of the two sides must be
 disjoint apart from the keys. Used by the relational queries and as the
@@ -27,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+
+from .keyed import keyed_fold
 
 # per-process cache of broadcast right sides keyed by object-ref hex
 _RIGHT_CACHE: dict = {}
@@ -114,19 +115,15 @@ def hash_join(left_ds, right_ds, on: tuple[str, str], *,
                  + [n for n, _ in right_cols] + ["__tag"])
         return batch.select(names)
 
-    return (
+    return keyed_fold(
         lt.map_batches(_fix_order, batch_format="pyarrow",
                        zero_copy_batch=True)
         .union(rt.map_batches(_fix_order, batch_format="pyarrow",
-                              zero_copy_batch=True))
-        .repartition(P, keys=["__key"])
-        .map_batches(
-            functools.partial(_copart_join_batch, left_cols=left_cols,
-                              right_cols=right_cols, join_type=join_type,
-                              lk=lk),
-            batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-        )
-    )
+                              zero_copy_batch=True)),
+        ["__key"],
+        lambda b, _starts: _copart_join_batch(b, left_cols, right_cols,
+                                              join_type, lk),
+        P, order_by=None)
 
 
 def _freq_partial(batch: pa.Table, key: str, lg_max_map_size: int) -> pa.Table:

@@ -1,10 +1,12 @@
 """LSH banding -> candidate pairs, with salted repartitioning for hot keys.
 
-Shuffle #2 (band key) and #3 (pair dedup). Band rows are exploded as
-(band_hash, conv_id) — band index is already folded into the hash
-(functions/minhash.band_keys) so a single uint64 key carries both.
-Hash-partitioning by band_hash co-locates each bucket in one block; pair
-emission is then a vectorized in-block group scan, not per-group Python.
+One keyed fold (stages/keyed.keyed_fold) over band rows exploded as
+(band_hash, conv_id, sig_digest, salt) — band index is already folded
+into the hash (functions/minhash.band_keys) so a single uint64 key
+carries both. The fold co-locates each (band_hash, salt) bucket in one
+block, sorted by conv_id; pair emission is then a vectorized scan over
+the fold's key runs, not per-group Python. Duplicate pairs from several
+colliding bands are removed later, in verify's pair fold.
 
 Skew handling (SURVEY §7.8, north_rule "band-key skew handled via salted
 repartitioning"):
@@ -36,12 +38,20 @@ from ..config import DedupConfig
 from ..functions.murmur3 import hash_strings
 from .arrow_util import as_array
 from .ids import decode_columns, encode_columns, ids_at, local_codes
+from .keyed import keyed_fold, run_heads, segment_ids
 
 
-def explode_bands(batch: pa.Table, bridge_ref=None,
+def explode_bands(batch: pa.Table, hot_ref=None, bridge_ref=None,
                   band_filter_ref=None) -> pa.Table:
-    """signature rows -> (band_hash, conv_id, sig_digest) rows, conv_id
-    coded by ``stages/ids.encode_columns``.
+    """signature rows -> (band_hash, conv_id, sig_digest, salt) rows,
+    conv_id coded by ``stages/ids.encode_columns``.
+
+    ``salt`` is 0 unless the row's bucket is in the hot set of
+    ``hot_ref`` (``(sorted hot band hashes, n_salt)``, ray.put once);
+    a hot bucket's rows are spread by murmur(conv_id) % n_salt. The
+    salt hash is murmur of the conv_id STRING, taken before the id is
+    coded, so the shard decomposition (and therefore the pair set) does
+    not depend on the coding and matches the oracle.
 
     ``band_filter_ref`` (sorted u64 band-hash set, ray.put once): only
     rows whose band hash is in the set are emitted — the incremental
@@ -49,25 +59,25 @@ def explode_bands(batch: pa.Table, bridge_ref=None,
     explode ships only buckets an increment actually touches (buckets
     without a new conv could only yield old-old pairs, which the
     increment drops anyway — so the filter is exact)."""
-    return _explode(batch, bridge_ref, band_filter_ref)[0]
-
-
-def _explode(batch: pa.Table, bridge_ref, band_filter_ref):
-    """explode_bands plus each output row's source row index."""
     bands = as_array(batch.column("bands"))
     flat = bands.flatten().to_numpy(zero_copy_only=False)
-    n_bands = len(flat) // max(len(batch), 1) if len(batch) else 0
-    rep = np.repeat(np.arange(len(batch)), n_bands)
+    rep = np.repeat(np.arange(len(batch)), len(flat) // max(len(batch), 1))
     if band_filter_ref is not None:
         keep = _in_sorted(flat, ray.get(band_filter_ref))
         flat = flat[keep]
         rep = rep[keep]
+    salt = np.zeros(len(flat), dtype=np.int32)
+    if hot_ref is not None:
+        hot, n_salt = ray.get(hot_ref)
+        is_hot = _in_sorted(flat, hot)
+        h, _ = hash_strings(as_array(batch.column("conv_id")))
+        salt[is_hot] = (h[rep[is_hot]] % np.uint64(n_salt)).astype(np.int32)
     rep_pa = pa.array(rep)
     conv = encode_columns(batch.select(["conv_id"]), ["conv_id"], bridge_ref)
-    out = pa.table({"band_hash": pa.array(flat, type=pa.uint64()),
-                    "conv_id": conv.column("conv_id").take(rep_pa),
-                    "sig_digest": batch.column("sig_digest").take(rep_pa)})
-    return out, rep
+    return pa.table({"band_hash": pa.array(flat, type=pa.uint64()),
+                     "conv_id": conv.column("conv_id").take(rep_pa),
+                     "sig_digest": batch.column("sig_digest").take(rep_pa),
+                     "salt": pa.array(salt, type=pa.int32())})
 
 
 def detect_hot_bands(sig_ds, config: DedupConfig) -> np.ndarray:
@@ -101,9 +111,7 @@ def detect_hot_bands(sig_ds, config: DedupConfig) -> np.ndarray:
         return pa.table({"h": pa.array(uniq, type=pa.uint64()),
                          "cnt": pa.array(cnt, type=pa.int64())})
 
-    def fold(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({"h": pa.array([], type=pa.uint64())})
+    def fold(batch: pa.Table, _starts) -> pa.Table:
         g = batch.group_by("h").aggregate([("cnt", "sum")])
         hs = g.column("h").to_numpy(zero_copy_only=False)
         cs = g.column("cnt_sum").to_numpy(zero_copy_only=False)
@@ -111,12 +119,10 @@ def detect_hot_bands(sig_ds, config: DedupConfig) -> np.ndarray:
                                        type=pa.uint64())})
 
     P = max(2, min(int(config.num_partitions), 16))
-    hot_ds = (sig_ds.select_columns(["conv_id", "bands"])
-              .map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .repartition(P, keys=["h"])
-              .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                           zero_copy_batch=True))
+    hot_ds = keyed_fold(
+        sig_ds.select_columns(["conv_id", "bands"])
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["h"], fold, P, order_by=None)
     parts = [blk.column("h").to_numpy(zero_copy_only=False)
              for blk in hot_ds.iter_batches(batch_size=None,
                                             batch_format="pyarrow")
@@ -137,28 +143,6 @@ def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     return sorted_arr[idx] == values
 
 
-def explode_bands_salted(batch: pa.Table, hot_ref,
-                         bridge_ref=None,
-                         band_filter_ref=None) -> pa.Table:
-    """explode_bands + salt column: rows of hot buckets are spread by
-    murmur(conv_id) % hot_key_salt (encoded in the salt value passed via
-    the broadcast tuple), others keep salt 0. The salt hash is murmur of
-    the conv_id STRING, taken before the id is coded, so the shard
-    decomposition (and therefore the pair set) does not depend on the
-    coding and matches the oracle."""
-    hot, n_salt = ray.get(hot_ref)
-    # one murmur per conv, gathered to its (possibly band-filtered)
-    # rows through the explode's source-row index
-    h_conv, _ = hash_strings(as_array(batch.column("conv_id")))
-    out, rep = _explode(batch, bridge_ref, band_filter_ref)
-    h = h_conv[rep]
-    bh = out.column("band_hash").to_numpy(zero_copy_only=False)
-    salt = np.where(_in_sorted(bh, hot),
-                    (h % np.uint64(n_salt)).astype(np.int32),
-                    np.int32(0))
-    return out.append_column("salt", pa.array(salt, type=pa.int32()))
-
-
 def _digest_matrix(col, n: int) -> np.ndarray:
     """Fixed-width large_binary digest column -> (n, slots) uint8."""
     arr = as_array(col)
@@ -170,46 +154,6 @@ def _digest_matrix(col, n: int) -> np.ndarray:
     vals = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
     base = int(offs[0])
     return vals[base : base + n * width].reshape(n, width)
-
-
-def _sorted_groups(batch: pa.Table, with_salt: bool):
-    """Sort the block's band rows by (band[, salt], member-rank) and
-    reduce to one row per (bucket, member): returns
-    (m_rank, m_dig, bucket_sizes, bucket_offsets, bucket_bh, uniq),
-    member ranks being ``stages/ids.local_codes`` codes."""
-    n = len(batch)
-    bh = batch.column("band_hash").to_numpy(zero_copy_only=False)
-    rank, uniq = local_codes(batch.column("conv_id"))
-    dig = _digest_matrix(batch.column("sig_digest"), n)
-    if with_salt:
-        salt = batch.column("salt").to_numpy(zero_copy_only=False)
-        order = np.lexsort((rank, salt, bh))
-        salt_s = salt[order]
-    else:
-        order = np.lexsort((rank, bh))
-        salt_s = None
-    bh_s = bh[order]
-    rank_s = rank[order]
-    newgrp = np.ones(n, dtype=bool)
-    if n > 1:
-        newgrp[1:] = bh_s[1:] != bh_s[:-1]
-        if salt_s is not None:
-            newgrp[1:] |= salt_s[1:] != salt_s[:-1]
-    # first occurrence of each (bucket, member): dedups multi-band hits
-    member_first = newgrp.copy()
-    if n > 1:
-        member_first[1:] |= rank_s[1:] != rank_s[:-1]
-    mrows = np.flatnonzero(member_first)
-    m_rank = rank_s[mrows]
-    m_dig = dig[order][mrows] if n else dig
-    bucket_id = np.cumsum(newgrp[mrows]) - 1 if len(mrows) else \
-        np.empty(0, dtype=np.int64)
-    sizes = np.bincount(bucket_id) if len(mrows) else \
-        np.empty(0, dtype=np.int64)
-    boffs = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-    bucket_bh = bh_s[mrows][boffs] if len(mrows) else \
-        np.empty(0, dtype=np.uint64)
-    return m_rank, m_dig, sizes, boffs, bucket_bh, uniq
 
 
 def _vector_pairs(m_rank, m_dig, sizes, boffs, max_group, min_matches):
@@ -249,65 +193,63 @@ def _pair_table(uniq, a, b, bridge_ref) -> pa.Table:
                           ["a", "b"], bridge_ref)
 
 
-def pairs_in_block(batch: pa.Table, max_group: int,
-                   min_matches: int, bridge_ref=None) -> pa.Table:
+def pairs_in_block(batch: pa.Table, starts: np.ndarray, max_group: int,
+                   min_matches: int, hot_ref=None,
+                   bridge_ref=None) -> pa.Table:
     """Emit digest-prefiltered candidate pairs for every band bucket in
-    this block. A pair survives only if >= min_matches of its sampled
+    a block sorted by (bucket key, conv_id); ``starts`` are the bucket
+    starts. A pair survives only if >= min_matches of its sampled
     signature slots agree - rejecting the mass of low-Jaccard band
     collisions here, before any payload ever ships. Output pairs are
     decoded conv_id strings, so the pairs surface schema does not
-    depend on the id coding."""
-    m_rank, m_dig, sizes, boffs, _bh, uniq = _sorted_groups(batch, False)
+    depend on the id coding.
+
+    With ``hot_ref`` (``(sorted hot band hashes, n_salt)``) the buckets
+    are (band_hash, salt) shards, and each hot one also emits one
+    representative row (its min member + digest) for the cross-shard
+    chaining pass. Output union schema: pair rows (is_rep=false, a/b
+    set) and rep rows (is_rep=true, band_hash/conv_id/sig_digest set;
+    conv_id stays coded, the representative pass re-enters this
+    kernel)."""
+    rank, uniq = local_codes(batch.column("conv_id"))
+    # one row per (bucket, member): drops a conv's repeated hits
+    mrows = np.flatnonzero(run_heads(starts, rank))
+    m_rank = rank[mrows]
+    m_dig = _digest_matrix(batch.column("sig_digest"), len(batch))[mrows]
+    sizes = np.bincount(segment_ids(starts, len(batch))[mrows],
+                        minlength=len(starts))
+    boffs = np.concatenate([[0], np.cumsum(sizes)])[:-1]
     a, b = _vector_pairs(m_rank, m_dig, sizes, boffs, max_group,
                          min_matches)
-    return _pair_table(uniq, a, b, bridge_ref)
-
-
-def pairs_and_reps_in_block(batch: pa.Table, max_group: int,
-                            min_matches: int, hot_ref,
-                            bridge_ref=None) -> pa.Table:
-    """Salted variant: groups are (band_hash, salt) shards. Hot buckets
-    additionally emit one representative row (their min member + digest)
-    per shard for the cross-shard chaining pass. Output union schema:
-    pair rows (is_rep=false, a/b set) and rep rows (is_rep=true,
-    band_hash/conv_id/sig_digest set; conv_id stays coded, the
-    representative pass re-enters pairs_in_block)."""
-    hot, _n_salt = ray.get(hot_ref)
-    m_rank, m_dig, sizes, boffs, bucket_bh, uniq = \
-        _sorted_groups(batch, True)
-    a, b = _vector_pairs(m_rank, m_dig, sizes, boffs, max_group,
-                         min_matches)
-    hot_sel = np.flatnonzero(_in_sorted(bucket_bh, hot))
+    pairs = _pair_table(uniq, a, b, bridge_ref)
+    if hot_ref is None:
+        return pairs
+    bucket_bh = batch.column("band_hash").to_numpy(
+        zero_copy_only=False)[starts]
+    hot_sel = np.flatnonzero(_in_sorted(bucket_bh, ray.get(hot_ref)[0]))
     reps = pa.table({
         "band_hash": pa.array(bucket_bh[hot_sel], type=pa.uint64()),
         "conv_id": ids_at(uniq, m_rank[boffs[hot_sel]]),
         "sig_digest": pa.array([m_dig[o].tobytes() for o in boffs[hot_sel]],
                                type=pa.large_binary()),
     })
-    pairs = _pair_table(uniq, a, b, bridge_ref)
     return pa.concat_tables([
         pairs.append_column("is_rep", pa.array(np.zeros(len(pairs), bool))),
         reps.append_column("is_rep", pa.array(np.ones(len(reps), bool))),
     ], promote_options="default")
 
 
-def dedup_pairs_block(batch: pa.Table) -> pa.Table:
-    """Per-block pair dedup (pairs were hash-partitioned on (a, b))."""
-    if len(batch) == 0:
-        return batch
-    return batch.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
-
-
-def candidate_pairs(sig_ds, config: DedupConfig, *, dedup: bool = True,
+def candidate_pairs(sig_ds, config: DedupConfig, *, dedup: bool = False,
                     bridge_ref=None, band_filter_ref=None):
-    """signature table -> candidate pair table (a < b).
+    """signature table -> candidate pair table (a < b), not deduped:
+    a pair several colliding bands emit comes out once per band, and
+    ``verify_pairs(dedup_pairs=True)`` removes the copies in a fold it
+    runs anyway, so ``dedup=True`` raises.
 
-    ``dedup=True`` adds a hash shuffle on (a, b) that removes pairs
-    emitted by several colliding bands. The full pipeline passes
-    ``dedup=False``: verify_pairs' first co-partition join already
-    hash-partitions pairs on ``a`` (same-key colocation), so the dedup
-    happens for free inside that join's block scan and the extra
-    all-to-all exchange is skipped.
+    One band fold keyed on (band_hash, salt). When hot buckets exist,
+    their shards' representatives chain in a second, band-keyed fold
+    that restores cross-shard connectivity; with no hot bucket every
+    salt is 0 and that pass does not run.
 
     ``bridge_ref`` codes the shuffled conv ids (stages/ids.py); output
     pairs are strings either way."""
@@ -315,71 +257,34 @@ def candidate_pairs(sig_ds, config: DedupConfig, *, dedup: bool = True,
 
     from .context import auto_partitions
 
+    if dedup:
+        raise ValueError("candidate_pairs(dedup=True) is gone: dedup the "
+                         "pairs with verify_pairs(dedup_pairs=True)")
     P = auto_partitions(sig_ds.count() * config.num_bands, 200_000,
                         config.num_partitions)
-
     hot = detect_hot_bands(sig_ds, config)
-    if len(hot) == 0:
-        # no skew detected: plain band shuffle, zero salting overhead
-        pairs = (
-            sig_ds.map_batches(
-                functools.partial(explode_bands, bridge_ref=bridge_ref,
-                                  band_filter_ref=band_filter_ref),
-                batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(P, keys=["band_hash"])
-            .map_batches(
-                functools.partial(pairs_in_block,
-                                  max_group=config.max_band_group,
-                                  min_matches=config.prefilter_min_matches,
-                                  bridge_ref=bridge_ref),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True,
-            )
-        )
-    else:
-        # salted repartitioning: hot buckets spread over hot_key_salt
-        # shards; shard chains + a tiny representative-chain pass restore
-        # cross-shard connectivity
-        hot_ref = ray.put((hot, config.hot_key_salt))
-        mixed = (
-            sig_ds.map_batches(
-                functools.partial(explode_bands_salted, hot_ref=hot_ref,
-                                  bridge_ref=bridge_ref,
-                                  band_filter_ref=band_filter_ref),
-                batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(P, keys=["band_hash", "salt"])
-            .map_batches(
-                functools.partial(pairs_and_reps_in_block,
-                                  max_group=config.max_band_group,
-                                  min_matches=config.prefilter_min_matches,
-                                  hot_ref=hot_ref, bridge_ref=bridge_ref),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True,
-            )
-        ).materialize()
-        shard_pairs = mixed.filter(expr="is_rep == False") \
-            .select_columns(["a", "b"])
-        reps = mixed.filter(expr="is_rep == True") \
-            .select_columns(["band_hash", "conv_id", "sig_digest"])
-        rep_pairs = (
-            reps.repartition(min(P, 8), keys=["band_hash"])
-            .map_batches(
-                functools.partial(pairs_in_block,
-                                  max_group=config.max_band_group,
-                                  min_matches=config.prefilter_min_matches,
-                                  bridge_ref=bridge_ref),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True,
-            )
-        )
-        pairs = shard_pairs.union(rep_pairs)
-    if not dedup:
+    hot_ref = ray.put((hot, config.hot_key_salt)) if len(hot) else None
+    kernel = functools.partial(pairs_in_block,
+                               max_group=config.max_band_group,
+                               min_matches=config.prefilter_min_matches,
+                               bridge_ref=bridge_ref)
+    bands = sig_ds.map_batches(
+        functools.partial(explode_bands, hot_ref=hot_ref,
+                          bridge_ref=bridge_ref,
+                          band_filter_ref=band_filter_ref),
+        batch_format="pyarrow", zero_copy_batch=True)
+    pairs = keyed_fold(bands, ["band_hash", "salt"],
+                       functools.partial(kernel, hot_ref=hot_ref), P,
+                       order_by=["conv_id"])
+    if hot_ref is None:
         return pairs
-    return (
-        pairs.repartition(P, keys=["a", "b"])
-        .map_batches(dedup_pairs_block, batch_format="pyarrow",
-                     batch_size=None, zero_copy_batch=True)
-    )
+    mixed = pairs.materialize()
+    shard_pairs = mixed.filter(expr="is_rep == False") \
+        .select_columns(["a", "b"])
+    reps = mixed.filter(expr="is_rep == True") \
+        .select_columns(["band_hash", "conv_id", "sig_digest"])
+    return shard_pairs.union(keyed_fold(reps, ["band_hash"], kernel,
+                                        min(P, 8), order_by=["conv_id"]))
 
 
 def plan_lsh(threshold: float, num_perms: int = 128,

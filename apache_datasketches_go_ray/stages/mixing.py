@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .arrow_util import as_array
+from .keyed import keyed_fold, np_col
 
 
 def reweight_sample(ds, group_col: str, weights: dict[str, float],
@@ -86,8 +87,8 @@ def shard_manifest(ds, id_col: str, size_col: str, *, budget: int,
     order across buckets), (1) one tiny aggregate pass for per-bucket
     size sums, folded into exclusive prefix offsets on the driver
     (n_buckets rows — thousands at petabyte scale) and broadcast via
-    ray.put, (2) one keyed shuffle on the bucket, in-block lexsort and
-    per-bucket local cumsum + offset. Emits id, size, inclusive
+    ray.put, (2) one bucket-keyed fold sorted by id, with a per-bucket
+    local cumsum + offset. Emits id, size, inclusive
     cum_size and shard_id; integer math end-to-end (SQL-exact)."""
     import ray
 
@@ -119,51 +120,35 @@ def shard_manifest(ds, id_col: str, size_col: str, *, budget: int,
         if len(ub) else np.empty(0, dtype=np.int64)
     off_ref = ray.put({int(b): int(o) for b, o in zip(ub, offsets)})
 
-    def assign(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                id_col: pa.array([], type=pa.int64()),
-                size_col: pa.array([], type=pa.int64()),
-                "cum_size": pa.array([], type=pa.int64()),
-                "shard_id": pa.array([], type=pa.int64()),
-            })
+    def assign(b: pa.Table, starts) -> pa.Table:
         offs = ray.get(off_ref)
         ids = as_array(b.column(id_col)).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
         sz = as_array(b.column(size_col)).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        order = np.argsort(ids, kind="stable")
-        ids_s, sz_s = ids[order], sz[order]
-        bks = ids_s // bucket_size
-        first = np.empty(len(bks), dtype=bool)
-        first[0] = True
-        np.not_equal(bks[1:], bks[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(bks)))
-        cum = np.cumsum(sz_s)
+        lens = np.diff(np.append(starts, len(b)))
+        cum = np.cumsum(sz)
         # restart the running sum at each bucket, then add its offset
-        seg_base = np.repeat(cum[starts] - sz_s[starts], lens)
+        seg_base = np.repeat(cum[starts] - sz[starts], lens)
         base = np.repeat(
-            np.array([offs[int(x)] for x in bks[starts]],
+            np.array([offs[int(x)] for x in np_col(b, "__bucket")[starts]],
                      dtype=np.int64), lens)
         cum_local = cum - seg_base + base
-        shard = (cum_local - sz_s) // budget
+        shard = (cum_local - sz) // budget
         return pa.table({
-            id_col: pa.array(ids_s),
-            size_col: pa.array(sz_s),
+            id_col: pa.array(ids),
+            size_col: pa.array(sz),
             "cum_size": pa.array(cum_local),
             "shard_id": pa.array(shard),
         })
 
     def key_bucket(b: pa.Table) -> pa.Table:
-        ids = as_array(b.column(id_col)).cast(pa.int64())
-        return b.append_column(
-            "__bucket", pc.divide(ids, pa.scalar(bucket_size,
-                                                 type=pa.int64())))
+        ids = as_array(b.column(id_col)).cast(pa.int64()) \
+            .to_numpy(zero_copy_only=False)
+        return b.append_column("__bucket", pa.array(ids // bucket_size))
 
     P = auto_partitions(ds.count(), 500_000, num_partitions)
-    return (slim.map_batches(key_bucket, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .repartition(P, keys=["__bucket"])
-            .map_batches(assign, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        slim.map_batches(key_bucket, batch_format="pyarrow",
+                         zero_copy_batch=True),
+        ["__bucket"], assign, P, order_by=[id_col])

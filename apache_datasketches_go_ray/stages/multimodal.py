@@ -44,7 +44,8 @@ import numpy as np
 import pyarrow as pa
 
 from .arrow_util import as_array
-from ..functions.murmur3 import murmur3_128, fmix64
+from ..functions.murmur3 import murmur3_128
+from .keyed import keyed_fold
 
 
 def encode_wav(samples: np.ndarray, sample_rate: int = 16000) -> bytes:
@@ -773,14 +774,9 @@ def _frame_dhash_partial(batch: pa.Table) -> pa.Table:
     })
 
 
-def _clip_fingerprint_fold(batch: pa.Table) -> pa.Table:
+def _clip_fingerprint_fold(batch: pa.Table, _starts) -> pa.Table:
     """Fold co-located per-clip partials -> 64-bit majority-vote clip
     fingerprint (bit set iff set in >= half the sampled frames)."""
-    if len(batch) == 0:
-        return pa.table({
-            "media_id": pa.array([], type=pa.int64()),
-            "vfp": pa.array([], type=pa.uint64()),
-        })
     ids = batch.column("media_id").to_numpy(zero_copy_only=False)
     nf = batch.column("n_frames").to_numpy(zero_copy_only=False)
     flat = as_array(batch.column("bit_counts")).flatten() \
@@ -817,12 +813,11 @@ def video_near_dups(media_ds, *, every_k: int = 3,
         batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True, concurrency=concurrency)
     P = auto_partitions(media_ds.count(), 500_000, num_partitions)
-    fp = (frames.map_batches(_frame_dhash_partial,
-                             batch_format="pyarrow",
-                             zero_copy_batch=True)
-          .repartition(P, keys=["media_id"])
-          .map_batches(_clip_fingerprint_fold, batch_format="pyarrow",
-                       batch_size=None, zero_copy_batch=True))
+    fp = keyed_fold(
+        frames.map_batches(_frame_dhash_partial,
+                           batch_format="pyarrow",
+                           zero_copy_batch=True),
+        ["media_id"], _clip_fingerprint_fold, P, order_by=None)
     return hamming_near_dup_pairs(fp, id_col="media_id", hash_col="vfp",
                                   max_hamming=max_hamming,
                                   num_partitions=num_partitions)

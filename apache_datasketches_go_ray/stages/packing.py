@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from .arrow_util import as_array
+from .keyed import keyed_fold
 
 
 def _pack_group(tokens: np.ndarray, budget: int) -> np.ndarray:
@@ -96,11 +97,10 @@ def pack_sequences(ds, budget: int, n_parts: int, tok_col: str,
         return b.append_column(
             "__part", pa.array(ids % n_parts, type=pa.int64()))
 
-    return (ds.map_batches(keyed, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(min(num_partitions, n_parts), keys=["__part"])
-            .map_batches(
-                lambda b: pack_sequences_block(b, budget, "__part",
-                                               tok_col, id_col),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True))
+    return keyed_fold(
+        ds.map_batches(keyed, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["__part"],
+        lambda b, _starts: pack_sequences_block(b, budget, "__part",
+                                                tok_col, id_col),
+        min(num_partitions, n_parts), order_by=None)

@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .context import auto_partitions
+from .keyed import keyed_fold
 
 
 def _project_left(b: pa.Table, key: str, ts: str,
@@ -143,14 +144,12 @@ def interval_join_agg(left_ds, right_ds, *, on: tuple[str, str],
         return t.select(names)
 
     P = auto_partitions(left_ds.count(), 200_000, num_partitions)
-    return (
+    return keyed_fold(
         lt.map_batches(_order, batch_format="pyarrow", zero_copy_batch=True)
         .union(rt.map_batches(_order, batch_format="pyarrow",
-                              zero_copy_batch=True))
-        .repartition(P, keys=["__k"])
-        .map_batches(
-            functools.partial(_window_agg, keep=left_cols,
-                              window=window_us, key_name=lk,
-                              count_name=count_name, sum_name=sum_name),
-            batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    )
+                              zero_copy_batch=True)),
+        ["__k"],
+        lambda b, _starts: _window_agg(b, keep=left_cols, window=window_us,
+                                       key_name=lk, count_name=count_name,
+                                       sum_name=sum_name),
+        P, order_by=None)

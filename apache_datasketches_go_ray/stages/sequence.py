@@ -20,18 +20,9 @@ import pyarrow.compute as pc
 
 from .arrow_util import as_array
 from .context import auto_partitions
+from .keyed import keyed_fold, np_col, segment_ids
 
 _I64MAX = np.iinfo(np.int64).max
-
-
-def _sorted_segments(k: np.ndarray, *order_cols: np.ndarray):
-    order = np.lexsort(tuple(reversed(order_cols)) + (k,))
-    sk = k[order]
-    first = np.empty(len(sk), dtype=bool)
-    if len(sk):
-        first[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first[1:])
-    return order, first
 
 
 def event_paths(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -51,36 +42,21 @@ def event_paths(ds, key_col: str = "user_id", ts_col: str = "ts",
             "lbl": b.column(label_col).cast(pa.string()),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({
-                key_col: pa.array([], type=pa.int64()),
-                "n_events": pa.array([], type=pa.int64()),
-                "path": pa.array([], type=pa.string()),
-            })
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).to_numpy(zero_copy_only=False)
-        ids = as_array(b.column("id")).to_numpy(zero_copy_only=False)
-        order, first = _sorted_segments(k, ts, ids)
-        lbl = as_array(b.column("lbl")).take(
-            pa.array(order, type=pa.int64()))
-        starts = np.flatnonzero(first)
-        offsets = np.append(starts, len(order)).astype(np.int32)
-        lists = pa.ListArray.from_arrays(pa.array(offsets), lbl)
+    def fold(b: pa.Table, starts) -> pa.Table:
+        offsets = np.append(starts, len(b)).astype(np.int32)
+        lists = pa.ListArray.from_arrays(pa.array(offsets),
+                                         as_array(b.column("lbl")))
         return pa.table({
-            key_col: pa.array(k[order][starts], type=pa.int64()),
+            key_col: pa.array(np_col(b, "k")[starts], type=pa.int64()),
             "n_events": pa.array(np.diff(offsets), type=pa.int64()),
             "path": pc.binary_join(lists, sep),
         })
 
     P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
+    return keyed_fold(
         ds.select_columns([key_col, ts_col, id_col, label_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        ["k"], fold, P, order_by=["ts", "id"])
 
 
 def funnel_depth(ds, stages: list[str], key_col: str = "user_id",
@@ -107,29 +83,16 @@ def funnel_depth(ds, stages: list[str], key_col: str = "user_id",
             "lbl": b.column(label_col).cast(pa.string()),
         })
 
-    def fold(b: pa.Table) -> pa.Table:
+    def fold(b: pa.Table, starts) -> pa.Table:
         ts_type = pa.timestamp("us")
-        if len(b) == 0:
-            return pa.table({
-                key_col: pa.array([], type=pa.int64()),
-                "depth": pa.array([], type=pa.int64()),
-                "t_first": pa.array([], type=ts_type),
-                "t_deepest": pa.array([], type=ts_type),
-            })
-        k = as_array(b.column("k")).to_numpy(zero_copy_only=False)
-        ts = as_array(b.column("ts")).to_numpy(zero_copy_only=False)
+        sts = np_col(b, "ts")
         lbl = as_array(b.column("lbl"))
-        order, first = _sorted_segments(k, ts)
-        sts = ts[order]
-        starts = np.flatnonzero(first)
-        seg_id = np.cumsum(first) - 1
+        seg_id = segment_ids(starts, len(b))
         n_seg = len(starts)
-        masks = [
-            pc.equal(lbl, s).to_numpy(zero_copy_only=False)[order]
-            for s in stages
-        ]
+        masks = [pc.equal(lbl, s).to_numpy(zero_copy_only=False)
+                 for s in stages]
         # chained mins: t[i] per segment, broadcast back to rows
-        t_prev_rows = np.zeros(len(order), dtype=np.int64)  # -inf chain
+        t_prev_rows = np.zeros(len(b), dtype=np.int64)  # -inf chain
         stage_t = np.empty((len(stages), n_seg), dtype=np.int64)
         for i, m in enumerate(masks):
             x = np.where(m & (sts >= t_prev_rows), sts, _I64MAX)
@@ -144,7 +107,7 @@ def funnel_depth(ds, stages: list[str], key_col: str = "user_id",
         t_deepest = stage_t[deep_idx, np.arange(n_seg)]
         none_mask = depth == 0
         return pa.table({
-            key_col: pa.array(k[order][starts], type=pa.int64()),
+            key_col: pa.array(np_col(b, "k")[starts], type=pa.int64()),
             "depth": pa.array(depth, type=pa.int64()),
             "t_first": pa.array(t_first, type=pa.int64(),
                                 mask=none_mask).cast(ts_type),
@@ -153,10 +116,7 @@ def funnel_depth(ds, stages: list[str], key_col: str = "user_id",
         })
 
     P = auto_partitions(ds.count(), 200_000, num_partitions)
-    return (
+    return keyed_fold(
         ds.select_columns([key_col, ts_col, id_col, label_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(P, keys=["k"])
-        .map_batches(fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        ["k"], fold, P, order_by=["ts"])

@@ -1,10 +1,9 @@
-"""MinHash signer stage: the stateful actor-pool map_batches.
+"""MinHash signer stage: a task-form map_batches with per-worker state.
 
-``MinHashSigner`` is a callable class passed to ``map_batches(...,
-concurrency=N)``: the permutation key table is built once per actor in
-``__init__`` (the reference's analogue: ``ItemSketchOp`` handed to a
-sketch at construction, kll/items_sketch.go:71-84), and each ``__call__``
-processes one zero-copy Arrow batch fully vectorized.
+``MinHashSigner`` holds the permutation key table, built once per worker
+process in ``__init__`` (the reference's analogue: ``ItemSketchOp`` handed
+to a sketch at construction, kll/items_sketch.go:71-84), and each
+``__call__`` processes one zero-copy Arrow batch fully vectorized.
 
 Output schema per conversation row:
   conv_id: string, n_turns: int32, n_shingles: int32,
@@ -104,14 +103,13 @@ def _sign_batch(batch: pa.Table, config: DedupConfig,
     return signer(batch)
 
 
-def sign(ds, config: DedupConfig, *, concurrency=None, batch_size: int = 512,
-         keep_text: bool = True, use_actors: bool = False):
+def sign(ds, config: DedupConfig, *, batch_size: int = 512,
+         keep_text: bool = True):
     """assembled conversations -> signature table.
 
-    Default is the task form (per-worker cached state): autoscaling actor
-    pools were observed to ramp nondeterministically (2.5-8 effective
-    cores out of 32 for minutes). ``use_actors=True`` selects the
-    explicit actor-pool stage (``MinHashSigner`` as callable class).
+    Task form with per-worker cached state: autoscaling actor pools
+    were observed to ramp nondeterministically (2.5-8 effective cores
+    out of 32 for minutes).
 
     Parallelism guard: map_batches task count is bound by the INPUT
     block count, and the conv-keyed assembly emits only num_partitions
@@ -127,38 +125,17 @@ def sign(ds, config: DedupConfig, *, concurrency=None, batch_size: int = 512,
     from ray.data.dataset import MaterializedDataset
 
     if isinstance(ds, MaterializedDataset):
-        try:
-            n_cpu = int(_ray.cluster_resources().get("CPU", 8))
-            nb = ds.num_blocks()
-            n_rows = ds.count()
-            target = min(2 * n_cpu, max(1, n_rows // max(batch_size, 1)))
-            if nb < target:
-                # materialized split: a fused (lazy) repartition runs as
-                # a buffering all-to-all INSIDE the sign execution and
-                # re-serializes it; the split itself is cheap block
-                # surgery and signing from 2x-cpu blocks wins it back
-                ds = ds.repartition(target).materialize()
-        except Exception:
-            pass
-
-    if not use_actors:
-        return ds.map_batches(
-            functools.partial(_sign_batch, config=config,
-                              keep_text=keep_text),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-        )
-    if concurrency is None:
-        import ray
-
-        n = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = (1, max(2, n))
+        n_cpu = int(_ray.cluster_resources().get("CPU", 8))
+        target = min(2 * n_cpu, max(1, ds.count() // max(batch_size, 1)))
+        if ds.num_blocks() < target:
+            # materialized split: a fused (lazy) repartition runs as
+            # a buffering all-to-all INSIDE the sign execution and
+            # re-serializes it; the split itself is cheap block
+            # surgery and signing from 2x-cpu blocks wins it back
+            ds = ds.repartition(target).materialize()
     return ds.map_batches(
-        MinHashSigner,
-        fn_constructor_args=(config, keep_text),
+        functools.partial(_sign_batch, config=config, keep_text=keep_text),
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
-        concurrency=concurrency,
     )

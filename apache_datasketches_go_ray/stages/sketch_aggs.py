@@ -11,6 +11,8 @@ and the estimate is finalized once.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -18,6 +20,7 @@ from .arrow_util import as_array
 from ..state.hll import HllSketch, coupons_from_strings, coupons_from_u64s
 from ..state.kll import KllSketch
 from ..state.frequencies import FrequentItemsSketch
+from .keyed import keyed_fold, segment_ends
 
 
 def _col_coupons(col: pa.Array) -> np.ndarray:
@@ -57,6 +60,15 @@ def _key_runs(col):
     ends = np.concatenate([starts[1:], [n]]) if n else starts
     keys = d.dictionary.take(pa.array(cs[starts])).cast(pa.string())
     return order, starts, ends, keys
+
+
+def _fold_runs(batch: pa.Table, col: str, starts: np.ndarray):
+    """(run bounds, run keys as strings) of a block keyed_fold sorted by
+    ``col``. The sort is stable, so each run keeps its rows' input order
+    (KLL merges are order-sensitive)."""
+    keys = as_array(batch.column(col)).take(pa.array(starts))
+    return zip(starts, segment_ends(starts, len(batch))), \
+        keys.cast(pa.string())
 
 
 def approx_distinct(ds, column: str, lg_k: int = 12) -> dict:
@@ -102,24 +114,21 @@ def approx_distinct_by(ds, key: str, column: str, lg_k: int = 12,
         return pa.table({key: keys,
                          "sk": pa.array(out_s, type=pa.large_binary())})
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def combine(batch: pa.Table, starts) -> pa.Table:
         sks = as_array(batch.column("sk")).to_pylist()
-        order, starts, ends, keys = _key_runs(batch.column(key))
+        runs, keys = _fold_runs(batch, key, starts)
         out_e = []
-        for s, e in zip(starts, ends):
-            sk = HllSketch.from_bytes(sks[order[s]])
-            for i in order[s + 1:e]:
+        for s, e in runs:
+            sk = HllSketch.from_bytes(sks[s])
+            for i in range(s + 1, e):
                 sk.merge(HllSketch.from_bytes(sks[i]))
             out_e.append(sk.get_estimate())
         return pa.table({key: keys,
                          "estimate": pa.array(out_e, type=pa.float64())})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=[key])
-        .map_batches(combine, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        [key], combine, num_partitions)
 
 
 def approx_quantiles(ds, column: str, ranks, k: int = 200) -> dict:
@@ -172,15 +181,15 @@ def approx_quantiles_by(ds, group_col: str, value_col: str, ranks,
         return pa.table({group_col: keys,
                          "sk": pa.array(out_s, type=pa.large_binary())})
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def combine(batch: pa.Table, starts) -> pa.Table:
         sks = as_array(batch.column("sk")).to_pylist()
-        order, starts, ends, keys = _key_runs(batch.column(group_col))
+        runs, keys = _fold_runs(batch, group_col, starts)
         out = {"n": []}
         for c in rank_cols:
             out[c] = []
-        for s, e in zip(starts, ends):
-            sk = KllSketch.from_bytes(sks[order[s]])
-            for i in order[s + 1:e]:
+        for s, e in runs:
+            sk = KllSketch.from_bytes(sks[s])
+            for i in range(s + 1, e):
                 sk.merge(KllSketch.from_bytes(sks[i]))
             out["n"].append(sk.n)
             for r, c in zip(ranks, rank_cols):
@@ -191,13 +200,10 @@ def approx_quantiles_by(ds, group_col: str, value_col: str, ranks,
             cols[c] = pa.array(out[c], type=pa.float64())
         return pa.table(cols)
 
-    return (
+    return keyed_fold(
         ds.select_columns([group_col, value_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=[group_col])
-        .map_batches(combine, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col], combine, num_partitions)
 
 
 def approx_top_k(ds, column: str, k: int = 20, lg_max_map_size: int = 12,
@@ -285,14 +291,13 @@ def approx_top_k_by(ds, group_col: str, item_col: str, k: int = 10,
         return pa.table({group_col: keys,
                          "sk": pa.array(out_blob, type=pa.string())})
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def combine(batch: pa.Table, starts) -> pa.Table:
         blobs = as_array(batch.column("sk")).to_pylist()
-        order, starts, ends, keys = _key_runs(batch.column(group_col))
-        key_strs = keys.to_pylist()
+        runs, keys = _fold_runs(batch, group_col, starts)
         out = {"group": [], "item": [], "estimate": [], "rank": []}
-        for g, s, e in zip(key_strs, starts, ends):
+        for g, (s, e) in zip(keys.to_pylist(), runs):
             merged = FrequentItemsSketch(lg_max_map_size)
-            for i in order[s:e]:
+            for i in range(s, e):
                 d = json.loads(blobs[i])
                 part = FrequentItemsSketch(lg_max_map_size)
                 part.counts = dict(zip(d["items"], d["counts"]))
@@ -312,13 +317,10 @@ def approx_top_k_by(ds, group_col: str, item_col: str, k: int = 10,
             "rank": pa.array(out["rank"], type=pa.int64()),
         })
 
-    return (
+    return keyed_fold(
         ds.select_columns([group_col, item_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=[group_col])
-        .map_batches(combine, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col], combine, num_partitions)
 
 
 def string_quantiles_by(ds, group_col: str, value_col: str, ranks,
@@ -364,21 +366,15 @@ def items_quantiles_by(ds, group_col: str, value_col: str, ranks,
         return pa.table({group_col: keys,
                          "sk": pa.array(out_s, type=pa.large_binary())})
 
-    def combine(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            cols = {group_col: pa.array([], type=pa.string()),
-                    "n": pa.array([], type=pa.int64())}
-            for c in rank_cols:
-                cols[c] = pa.array([], type=val_pa_type)
-            return pa.table(cols)
+    def combine(batch: pa.Table, starts) -> pa.Table:
         sks = as_array(batch.column("sk")).to_pylist()
-        order, starts, ends, keys = _key_runs(batch.column(group_col))
+        runs, keys = _fold_runs(batch, group_col, starts)
         out = {"n": []}
         for c in rank_cols:
             out[c] = []
-        for s, e in zip(starts, ends):
-            sk = KllItemsSketch.from_bytes(sks[order[s]], op=op)
-            for i in order[s + 1:e]:
+        for s, e in runs:
+            sk = KllItemsSketch.from_bytes(sks[s], op=op)
+            for i in range(s + 1, e):
                 sk.merge(KllItemsSketch.from_bytes(sks[i], op=op))
             out["n"].append(sk.n)
             for r, c in zip(ranks, rank_cols):
@@ -389,13 +385,10 @@ def items_quantiles_by(ds, group_col: str, value_col: str, ranks,
             cols[c] = pa.array(out[c], type=val_pa_type)
         return pa.table(cols)
 
-    return (
+    return keyed_fold(
         ds.select_columns([group_col, value_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_partitions, keys=[group_col])
-        .map_batches(combine, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col], combine, num_partitions)
 
 
 def cms_point_counts(ds, column: str, query_items, *, depth: int = 4,
@@ -519,24 +512,22 @@ def _hll_wire_partials(ds, key: str, column: str, lg_k: int):
 
 def _hll_wire_keyed_merge(rows_ds, key: str, num_partitions: int):
     """Keyed shuffle + per-key wire-level merge of (key, sketch) rows."""
-    def combine(batch: pa.Table) -> pa.Table:
+    def combine(batch: pa.Table, starts) -> pa.Table:
         from ..state.serde_compat import read_hll, write_hll
 
         sks = as_array(batch.column("sketch")).to_pylist()
-        out_k, out_s = [], []
-        for g, idx in _sorted_runs(as_array(batch.column(key))):
-            sk = read_hll(sks[idx[0]])
-            for i in idx[1:]:
+        runs, keys = _fold_runs(batch, key, starts)
+        out_s = []
+        for s, e in runs:
+            sk = read_hll(sks[s])
+            for i in range(s + 1, e):
                 sk.merge(read_hll(sks[i]))
-            out_k.append(g)
             out_s.append(write_hll(sk))
-        return pa.table({key: pa.array(out_k, type=pa.string()),
+        return pa.table({key: keys,
                          "sketch": pa.array(out_s,
                                             type=pa.large_binary())})
 
-    return (rows_ds.repartition(num_partitions, keys=[key])
-            .map_batches(combine, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(rows_ds, [key], combine, num_partitions)
 
 
 def hll_wire_estimate(ds, key: str, out_col: str = "estimate"):
@@ -569,19 +560,13 @@ def freq_wire_sketch_column_by(ds, group_col: str, item_col: str,
     :func:`freq_wire_merge_column` / :func:`freq_wire_top_items`.
     Same two-phase shape as approx_top_k_by; the blob replaces the
     engine-internal JSON partial."""
-    import pyarrow.compute as pc
-
-    from ..state.serde_compat import (FreqCompatSketch,
-                                      write_frequencies_items_string)
-
     partials = _freq_wire_partials(ds, group_col, item_col,
                                    max_map_size, tokenize)
-    return (partials.repartition(num_partitions, keys=[group_col])
-            .map_batches(
-                lambda b: _freq_wire_merge_block(b, group_col,
-                                                 max_map_size),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True))
+    return keyed_fold(
+        partials, [group_col],
+        functools.partial(_freq_wire_merge_block, group_col=group_col,
+                          max_map_size=max_map_size),
+        num_partitions)
 
 
 def _freq_wire_partials(ds, group_col: str, item_col: str,
@@ -622,7 +607,7 @@ def _freq_wire_partials(ds, group_col: str, item_col: str,
         partial, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _freq_wire_merge_block(batch: pa.Table, group_col: str,
+def _freq_wire_merge_block(batch: pa.Table, starts, group_col: str,
                            max_map_size: int) -> pa.Table:
     """Per-key wire-level merge, mirroring LongsSketch.Merge
     (frequencies/longs_sketch.go:451-466): re-enter the other sketch's
@@ -634,24 +619,21 @@ def _freq_wire_merge_block(batch: pa.Table, group_col: str,
                                       read_frequencies_items_string,
                                       write_frequencies_items_string)
 
-    if len(batch) == 0:
-        return pa.table({group_col: pa.array([], type=pa.string()),
-                         "sketch": pa.array([], type=pa.large_binary())})
     blobs = as_array(batch.column("sketch")).to_pylist()
-    out_g, out_blob = [], []
-    for g_key, idx in _sorted_runs(as_array(batch.column(group_col))):
+    runs, keys = _fold_runs(batch, group_col, starts)
+    out_blob = []
+    for s, e in runs:
         merged = FreqCompatSketch(max_map_size, kind="string")
         weight = 0
-        for i in idx:
+        for i in range(s, e):
             view = read_frequencies_items_string(blobs[i])
             weight += view.stream_length
             for item in sorted(view.counts):
                 merged.update(item, int(view.counts[item]))
             merged.offset += view.offset
         merged.stream_weight = weight
-        out_g.append(str(g_key))
         out_blob.append(write_frequencies_items_string(merged))
-    return pa.table({group_col: pa.array(out_g, type=pa.string()),
+    return pa.table({group_col: keys,
                      "sketch": pa.array(out_blob,
                                         type=pa.large_binary())})
 
@@ -698,12 +680,9 @@ def kll_wire_sketch_column_by(ds, key: str, value_col: str, k: int = 200,
     (ItemsSketch[string].ToSlice(), golden-tested) and merge downstream
     at the wire level with the reference's Merge algorithm
     (kll/items_sketch.go:555-693, serde_compat.kll_string_merge)."""
-    return (_kll_wire_partials(ds, key, value_col, k, width)
-            .repartition(num_partitions, keys=[key])
-            .map_batches(
-                lambda b: _kll_wire_merge_block(b, key),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True))
+    return keyed_fold(_kll_wire_partials(ds, key, value_col, k, width),
+                      [key], functools.partial(_kll_wire_merge_block, key=key),
+                      num_partitions)
 
 
 def _kll_wire_partials(ds, key: str, value_col: str, k: int,
@@ -755,7 +734,7 @@ def _kll_wire_partials(ds, key: str, value_col: str, k: int,
         partial, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _kll_wire_merge_block(batch: pa.Table, key: str) -> pa.Table:
+def _kll_wire_merge_block(batch: pa.Table, starts, key: str) -> pa.Table:
     """Per-key wire-level KLL merge block (reference Merge semantics via
     serde_compat.kll_string_merge) — shared by the column builder and
     the incremental updater."""
@@ -763,20 +742,16 @@ def _kll_wire_merge_block(batch: pa.Table, key: str) -> pa.Table:
                                       kll_string_merge, read_kll_string,
                                       write_kll_string)
 
-    if len(batch) == 0:
-        return pa.table({key: pa.array([], type=pa.string()),
-                         "sketch": pa.array([], type=pa.large_binary())})
     blobs = as_array(batch.column("sketch")).to_pylist()
-    out_k, out_b = [], []
-    for g_key, idx in _sorted_runs(as_array(batch.column(key))):
-        merged = kll_string_compat_from_view(
-            read_kll_string(blobs[idx[0]]))
-        for i in idx[1:]:
+    runs, keys = _fold_runs(batch, key, starts)
+    out_b = []
+    for s, e in runs:
+        merged = kll_string_compat_from_view(read_kll_string(blobs[s]))
+        for i in range(s + 1, e):
             kll_string_merge(merged, kll_string_compat_from_view(
                 read_kll_string(blobs[i])))
-        out_k.append(g_key)
         out_b.append(write_kll_string(merged))
-    return pa.table({key: pa.array(out_k, type=pa.string()),
+    return pa.table({key: keys,
                      "sketch": pa.array(out_b,
                                         type=pa.large_binary())})
 
@@ -869,12 +844,11 @@ def freq_wire_update_column(old_column_ds, new_ds, group_col: str,
                                      zero_copy_batch=True) \
         .union(fresh.map_batches(fix, batch_format="pyarrow",
                                  zero_copy_batch=True))
-    return (rows.repartition(num_partitions, keys=[group_col])
-            .map_batches(
-                lambda b: _freq_wire_merge_block(b, group_col,
-                                                 max_map_size),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True))
+    return keyed_fold(
+        rows, [group_col],
+        functools.partial(_freq_wire_merge_block, group_col=group_col,
+                          max_map_size=max_map_size),
+        num_partitions)
 
 
 def kll_wire_update_column(old_column_ds, new_ds, key: str,
@@ -893,11 +867,9 @@ def kll_wire_update_column(old_column_ds, new_ds, key: str,
                                      zero_copy_batch=True) \
         .union(fresh.map_batches(fix, batch_format="pyarrow",
                                  zero_copy_batch=True))
-    return (rows.repartition(num_partitions, keys=[key])
-            .map_batches(
-                lambda b: _kll_wire_merge_block(b, key),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True))
+    return keyed_fold(rows, [key],
+                      functools.partial(_kll_wire_merge_block, key=key),
+                      num_partitions)
 
 
 def varopt_sample(ds, item_col: str, weight_col: str, k: int,
@@ -1000,21 +972,21 @@ def varopt_sample_by(ds, group_col: str, item_col: str, weight_col: str,
         return pa.table({group_col: keys,
                          "sk": pa.array(out_s, type=pa.large_binary())})
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def combine(batch: pa.Table, starts) -> pa.Table:
         cols = {group_col: [], item_col: [], "weight": [],
                 "adjusted_weight": [], "is_heavy": []}
-        if len(batch):
-            sks = as_array(batch.column("sk")).to_pylist()
-            for g, idx in _sorted_runs(as_array(batch.column(group_col))):
-                sk = VarOptSketch.from_bytes(sks[idx[0]], seed=sd)
-                for i in idx[1:]:
-                    sk.merge(VarOptSketch.from_bytes(sks[i], seed=sd))
-                for item, w, adj, heavy in sk.result():
-                    cols[group_col].append(g)
-                    cols[item_col].append(item)
-                    cols["weight"].append(w)
-                    cols["adjusted_weight"].append(adj)
-                    cols["is_heavy"].append(heavy)
+        sks = as_array(batch.column("sk")).to_pylist()
+        runs, keys = _fold_runs(batch, group_col, starts)
+        for g, (s, e) in zip(keys.to_pylist(), runs):
+            sk = VarOptSketch.from_bytes(sks[s], seed=sd)
+            for i in range(s + 1, e):
+                sk.merge(VarOptSketch.from_bytes(sks[i], seed=sd))
+            for item, w, adj, heavy in sk.result():
+                cols[group_col].append(g)
+                cols[item_col].append(item)
+                cols["weight"].append(w)
+                cols["adjusted_weight"].append(adj)
+                cols["is_heavy"].append(heavy)
         return pa.table({
             group_col: pa.array(cols[group_col], type=pa.string()),
             item_col: pa.array(cols[item_col], type=pa.string()),
@@ -1024,9 +996,8 @@ def varopt_sample_by(ds, group_col: str, item_col: str, weight_col: str,
             "is_heavy": pa.array(cols["is_heavy"], type=pa.bool_()),
         })
 
-    return (ds.select_columns([group_col, item_col, weight_col])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(num_partitions, keys=[group_col])
-            .map_batches(combine, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True))
+    return keyed_fold(
+        ds.select_columns([group_col, item_col, weight_col])
+        .map_batches(partial, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        [group_col], combine, num_partitions)

@@ -43,6 +43,7 @@ from ..config import DedupConfig
 from ..functions.murmur3 import hash_strings
 from .arrow_util import as_array
 from .ids import decode_columns, ids_at, local_codes, map_encode
+from .keyed import keyed_fold, run_heads, segment_ids
 
 _ROWS_SCHEMA = pa.schema([("conv_id", pa.string()), ("h", pa.uint64())])
 _PAIRS_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string())])
@@ -69,34 +70,28 @@ def turn_hash_rows(batch: pa.Table, min_chars: int) -> pa.Table:
         ["conv_id", "h"]).aggregate([])
 
 
-def pairs_block(batch: pa.Table, max_convs: int,
+def pairs_block(batch: pa.Table, starts: np.ndarray, max_convs: int,
                 bridge_ref=None) -> pa.Table:
-    """hash-co-located (conv_id, h) rows -> candidate pairs (a < b).
+    """(conv_id, h) rows sorted by (h, conv_id), ``starts`` the hash
+    buckets' first rows -> candidate pairs (a < b).
 
-    Global distinct per (h, conv) happens here (the keyed shuffle
+    Global distinct per (h, conv) happens here (the keyed fold
     co-locates every copy), then every bucket with 2..max_convs member
     conversations emits its full pair set — vectorized per distinct
     bucket size, the same expansion pattern as lsh._vector_pairs.
     Pairs come out as conv_id strings whatever the id coding."""
-    if len(batch) == 0:
-        return _PAIRS_SCHEMA.empty_table()
-    d = batch.group_by(["h", "conv_id"]).aggregate([])
-    rank, uniq = local_codes(d.column("conv_id"))
-    h = d.column("h").to_numpy(zero_copy_only=False)
-    order = np.lexsort((rank, h))
-    h_s, r_s = h[order], rank[order]
-    n = len(h_s)
-    newgrp = np.ones(n, dtype=bool)
-    newgrp[1:] = h_s[1:] != h_s[:-1]
-    starts = np.flatnonzero(newgrp)
-    sizes = np.diff(np.concatenate([starts, [n]]))
+    rank, uniq = local_codes(batch.column("conv_id"))
+    heads = run_heads(starts, rank)
+    r_s = rank[heads]
+    sizes = np.bincount(segment_ids(starts, len(batch))[heads],
+                        minlength=len(starts))
+    offs = np.concatenate([[0], np.cumsum(sizes)])[:-1]
     a_out: list = []
     b_out: list = []
     for g in np.unique(sizes):
         if g < 2 or g > max_convs:
             continue
-        bsel = np.flatnonzero(sizes == g)
-        idx = starts[bsel][:, None] + np.arange(g)     # (nb, g)
+        idx = offs[sizes == g][:, None] + np.arange(g)     # (nb, g)
         mem = r_s[idx]
         ia, ib = np.triu_indices(int(g), k=1)
         a_out.append(mem[:, ia].reshape(-1))
@@ -186,13 +181,11 @@ def pairs_from_hashes(hash_ds, config: DedupConfig, bridge_ref=None,
     hash_ds = map_encode(hash_ds, ["conv_id"], bridge_ref).materialize()
     P = auto_partitions(hash_ds.count(), _ROWS_PER_PARTITION,
                         config.num_partitions)
-    return (hash_ds.repartition(P, keys=["h"])
-            .map_batches(
-                functools.partial(pairs_block,
-                                  max_convs=config.turn_block_max_convs,
-                                  bridge_ref=bridge_ref),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True))
+    return keyed_fold(hash_ds, ["h"],
+                      functools.partial(pairs_block,
+                                        max_convs=config.turn_block_max_convs,
+                                        bridge_ref=bridge_ref),
+                      P, order_by=["conv_id"])
 
 
 def turn_block_pairs(transcripts_ds, config: DedupConfig):

@@ -12,8 +12,9 @@ magnitude smaller than the corpus (bounded by the band caps), so we
      filtered candidate table (``ray.put`` once, map-only lookup — taken
      when it fits the object-store gate; the classic broadcast join) or
      by **tagged-union co-partition joins** (pair and signature rows
-     unioned, hash-partitioned on the endpoint key, joined per block
-     with vectorized ``pyarrow.Table.join``).
+     unioned, co-located on the endpoint key by one keyed fold
+     (stages/keyed.py), joined per block with vectorized
+     ``pyarrow.Table.join``).
 
 Texts are NOT carried through signatures or joins: the suffix-array
 containment check runs as a lazy second phase over only the pairs that
@@ -42,6 +43,7 @@ from ..config import DedupConfig
 from ..functions.suffixarray import longest_common_substring
 from .arrow_util import as_array
 from .ids import encode_columns, id_keys, id_type, map_decode, map_encode
+from .keyed import keyed_fold
 from .lsh import _in_sorted
 
 _VERIFY_SCHEMA = pa.schema([
@@ -99,7 +101,7 @@ def _block_join(batch: pa.Table, sig_col: str,
     sigs = batch.filter(pc.equal(tag, 1))
     left_cols = [c for c in batch.column_names if c not in ("tag", sig_col)]
     left = pairs.select(left_cols)
-    if dedup_pairs and len(left):
+    if dedup_pairs:
         # pairs keyed on `a` are co-located here, so (a, b) dedup of
         # multi-band emissions is a free in-block group_by
         left = left.group_by(left_cols).aggregate([]).select(left_cols)
@@ -122,14 +124,10 @@ def _attach_endpoint(ds, cand_sigs, key_col: str, suffix: str, P: int,
     right = cand_sigs.map_batches(
         functools.partial(_tag_right, pair_cols=pair_cols, sig_col=sig_col),
         batch_format="pyarrow", zero_copy_batch=True)
-    return (
-        left.union(right)
-        .repartition(P, keys=["key"])
-        .map_batches(functools.partial(_block_join, sig_col=sig_col,
-                                       dedup_pairs=dedup_pairs),
-                     batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-    )
+    return keyed_fold(
+        left.union(right), ["key"],
+        lambda b, _starts: _block_join(b, sig_col, dedup_pairs), P,
+        order_by=None)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +277,7 @@ def _broadcast_verify_batch(batch: pa.Table, cand_ref, cfg: DedupConfig,
                  as_array(tbl.column("shingles")))
         _BCAST_CACHE[key] = entry
     conv_arr, sh_arr = entry
-    if dedup_pairs and len(batch):
+    if dedup_pairs:
         batch = batch.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
     a_arr = as_array(batch.column("a"))
     b_arr = as_array(batch.column("b"))
@@ -305,24 +303,22 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
     ``dedup_pairs=True`` removes duplicate (a, b) rows (pairs produced
     with ``candidate_pairs(..., dedup=False)``).
 
-    ``texts_ds`` supplies (conv_id, text) rows for the containment pass;
-    if omitted and the signature table still carries a text column, that
-    is used; with no text source, containment candidates are rejected.
+    ``texts_ds`` (required) supplies (conv_id, text) rows for the
+    containment pass.
 
     ``bridge_ref`` codes the pair endpoints and candidate conv ids for
-    the dedup shuffle and both join forms (stages/ids.py); phase-1
+    the pair-dedup fold and both join forms (stages/ids.py); phase-1
     output is decoded before the containment phase, so the result is
     string-typed either way.
     """
     from .context import auto_partitions
 
+    if texts_ds is None:
+        raise TypeError("verify_pairs: texts_ds is required")
     # pin pairs: consumed by the id scan, the sizing count and the joins
     pairs_ds = pairs_ds.materialize()
     # size the join shuffles to the candidate volume, not the corpus
     P = auto_partitions(pairs_ds.count(), 25_000, config.num_partitions)
-
-    if texts_ds is None and "text" in sig_ds.schema().names:
-        texts_ds = sig_ds.select_columns(["conv_id", "text"])
 
     # cheap vectorized map over the pinned pairs; every downstream
     # shuffle/join then moves coded endpoints
@@ -333,25 +329,22 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
         both = np.concatenate([id_keys(b.column("a")), id_keys(b.column("b"))])
         return pa.table({"h": pa.array(np.unique(both), type=pa.uint64())})
 
-    def uniq_fold(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({"h": pa.array([], type=pa.uint64())})
+    def uniq_fold(b: pa.Table, _starts) -> pa.Table:
         return pa.table({"h": pa.array(
             np.unique(b.column("h").to_numpy(zero_copy_only=False)),
             type=pa.uint64())})
 
-    # cross-block dedup under a keyed shuffle BEFORE the gather, so the
+    # cross-block dedup under a keyed fold BEFORE the gather, so the
     # driver receives each candidate hash exactly once — driver memory
     # is O(unique candidate ids), the same array the broadcast semi-join
     # must hold anyway, not O(sum of per-block id lists)
     hash_parts = [
         blk.column("h").to_numpy(zero_copy_only=False)
-        for blk in pairs_ds.map_batches(
-            ids_block, batch_format="pyarrow", zero_copy_batch=True,
-        ).repartition(P, keys=["h"])
-        .map_batches(uniq_fold, batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True)
-        .iter_batches(batch_size=None, batch_format="pyarrow")
+        for blk in keyed_fold(
+            pairs_ds.map_batches(ids_block, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+            ["h"], uniq_fold, P, order_by=None,
+        ).iter_batches(batch_size=None, batch_format="pyarrow")
         if len(blk)
     ]
     cand_hashes = (np.sort(np.concatenate(hash_parts))
@@ -374,15 +367,19 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
 
         cand_tbl = gather_table(cand_sigs)
         cand_ref = ray.put(cand_tbl)
+        verify = functools.partial(_broadcast_verify_batch,
+                                   cand_ref=cand_ref, cfg=config,
+                                   dedup_pairs=dedup_pairs)
         if dedup_pairs:
-            # co-locate duplicate (a, b) rows so the map's in-block dedup
-            # is globally correct (slim pairs — a cheap shuffle)
-            pairs = pairs.repartition(P, keys=["a", "b"])
-        phase1 = pairs.map_batches(
-            functools.partial(_broadcast_verify_batch, cand_ref=cand_ref,
-                              cfg=config, dedup_pairs=dedup_pairs),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-        )
+            # co-locate duplicate (a, b) rows so the in-block dedup is
+            # globally correct (slim pairs — a cheap exchange)
+            phase1 = keyed_fold(pairs, ["a", "b"],
+                                lambda b, _starts: verify(b), P,
+                                order_by=None)
+        else:
+            phase1 = pairs.map_batches(verify, batch_format="pyarrow",
+                                       zero_copy_batch=True,
+                                       batch_size=None)
     else:
         # ---- shuffle path: two co-partition joins (endpoint a, b) ----
         # materialized between rounds (fused-chain pathology)
@@ -402,17 +399,6 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
     done = phase1.filter(expr="method != 'needs_text'")
     if needs.count() == 0:
         return done
-
-    if texts_ds is None:
-        # no text source: containment candidates are rejected
-        def reject(b: pa.Table) -> pa.Table:
-            n = len(b)
-            return b.set_column(
-                b.column_names.index("method"), "method",
-                pa.array(["rejected"] * n, type=pa.string()))
-
-        return done.union(needs.map_batches(
-            reject, batch_format="pyarrow", zero_copy_batch=True))
 
     def _ids_of(part) -> set:
         out: set = set()

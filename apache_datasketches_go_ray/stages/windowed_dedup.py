@@ -31,17 +31,15 @@ import functools
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..config import DedupConfig
 from .arrow_util import as_array
 from .assemble import assemble
 from .context import auto_partitions
+from .keyed import keyed_fold
 from .lsh import pairs_in_block
 from .signature import sign
 from .verify import verify_pairs
-
-_TS_SCHEMA = pa.schema([("conv_id", pa.string()), ("ts0", pa.int64())])
 
 
 def conv_start_times(transcripts_ds, num_partitions: int = 16):
@@ -49,8 +47,6 @@ def conv_start_times(transcripts_ds, num_partitions: int = 16):
     conv-keyed fold."""
 
     def partial(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _TS_SCHEMA.empty_table()
         t = pa.table({
             "conv_id": as_array(b.column("conv_id")).cast(pa.string()),
             "ts0": b.column("ts").cast(pa.int64()),
@@ -58,17 +54,13 @@ def conv_start_times(transcripts_ds, num_partitions: int = 16):
         return pa.table({"conv_id": t.column("conv_id"),
                          "ts0": t.column("ts0_min")})
 
-    return (transcripts_ds.select_columns(["conv_id", "ts"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .repartition(num_partitions, keys=["conv_id"])
-            .map_batches(_ts_fold, batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True))
+    return keyed_fold(
+        transcripts_ds.select_columns(["conv_id", "ts"])
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["conv_id"], _ts_fold, num_partitions, order_by=None)
 
 
-def _ts_fold(b: pa.Table) -> pa.Table:
-    if len(b) == 0:
-        return _TS_SCHEMA.empty_table()
+def _ts_fold(b: pa.Table, _starts) -> pa.Table:
     t = b.group_by("conv_id").aggregate([("ts0", "min")])
     return pa.table({"conv_id": t.column("conv_id"),
                      "ts0": t.column("ts0_min")})
@@ -77,14 +69,6 @@ def _ts_fold(b: pa.Table) -> pa.Table:
 def _bucket_duplicate(batch: pa.Table, w: int) -> pa.Table:
     """exploded band rows (+ ts0) -> 2x rows with bucket = ts0 // w and
     bucket + 1 (the trailing-window two-bucket emission)."""
-    _empty = pa.table({
-        "band_hash": pa.array([], type=pa.uint64()),
-        "conv_id": pa.array([], type=pa.string()),
-        "sig_digest": pa.array([], type=pa.large_binary()),
-        "bucket": pa.array([], type=pa.int64()),
-    })
-    if len(batch) == 0:
-        return _empty
     buckets = batch.column("ts0").to_numpy(zero_copy_only=False) // w
     one = pa.table({
         "band_hash": batch.column("band_hash"),
@@ -137,16 +121,13 @@ def windowed_near_dups(transcripts_ds, config: DedupConfig | None = None,
 
     P = auto_partitions(signatures_ds.count() * cfg.num_bands, 200_000,
                         cfg.num_partitions)
-    pairs = (sig_b.map_batches(
-                 functools.partial(_bucket_duplicate, w=w),
-                 batch_format="pyarrow", zero_copy_batch=True)
-             .repartition(P, keys=["band_hash", "bucket"])
-             .map_batches(
-                 functools.partial(pairs_in_block,
-                                   max_group=cfg.max_band_group,
-                                   min_matches=cfg.prefilter_min_matches),
-                 batch_format="pyarrow", batch_size=None,
-                 zero_copy_batch=True))
+    pairs = keyed_fold(
+        sig_b.map_batches(functools.partial(_bucket_duplicate, w=w),
+                          batch_format="pyarrow", zero_copy_batch=True),
+        ["band_hash", "bucket"],
+        functools.partial(pairs_in_block, max_group=cfg.max_band_group,
+                          min_matches=cfg.prefilter_min_matches),
+        P, order_by=["conv_id"])
 
     verified = verify_pairs(pairs, signatures_ds, cfg, dedup_pairs=True,
                             texts_ds=assembled_ds)
@@ -157,17 +138,7 @@ def windowed_near_dups(transcripts_ds, config: DedupConfig | None = None,
     j2 = hash_join(j1, starts.rename_columns(["conv_id", "ts_b"]),
                    on=("b", "conv_id"), num_partitions=cfg.num_partitions)
 
-    _out_empty = pa.table({
-        "a": pa.array([], type=pa.string()),
-        "b": pa.array([], type=pa.string()),
-        "jaccard": pa.array([], type=pa.float64()),
-        "containment": pa.array([], type=pa.float64()),
-        "gap_us": pa.array([], type=pa.int64()),
-    })
-
     def finish(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _out_empty
         ta = b.column("ts_a").to_numpy(zero_copy_only=False)
         tb = b.column("ts_b").to_numpy(zero_copy_only=False)
         gap = np.abs(ta - tb)

@@ -42,3 +42,37 @@ def test_keyed_partition_survives_small_block_cap(ray_session):
         assert out["n_hot"].sum() == n_hot
     finally:
         ctx.target_max_block_size = old
+
+
+def _fail(*_a, **_k):
+    raise RuntimeError("cluster_resources unavailable")
+
+
+def test_apply_block_cap_raises_on_failed_resource_probe(monkeypatch):
+    """A failing object-store probe is an error, not a silent no-cap."""
+    import pytest
+    import ray
+
+    from apache_datasketches_go_ray.stages.context import apply_block_cap
+
+    monkeypatch.setattr(ray, "cluster_resources", _fail)
+    with pytest.raises(RuntimeError, match="cluster_resources"):
+        apply_block_cap(16 << 20, 1000)
+
+
+def test_sign_raises_on_failed_block_split_probe(ray_session, monkeypatch):
+    """sign's block-split sizing fails loudly instead of signing from
+    unsplit blocks."""
+    import pytest
+    import ray
+    import ray.data
+
+    from apache_datasketches_go_ray.config import DedupConfig
+    from apache_datasketches_go_ray.stages.signature import sign
+
+    ds = ray.data.from_arrow(pa.table({
+        "conv_id": ["c0", "c1"], "text": ["a b c d", "e f g h"],
+        "n_turns": pa.array([1, 1], type=pa.int32())})).materialize()
+    monkeypatch.setattr(ray, "cluster_resources", _fail)
+    with pytest.raises(RuntimeError, match="cluster_resources"):
+        sign(ds, DedupConfig())

@@ -6,6 +6,8 @@ Parity targets:
 * the reference's pinned doctest outputs (hll/example_test.go:84-96).
 """
 
+import json
+import os
 import struct
 
 import numpy as np
@@ -17,6 +19,8 @@ from apache_datasketches_go_ray.state.hll import (
 )
 
 JAVA = "/root/reference/serialization_test_data/java_generated_files"
+PINNED = json.load(open(os.path.join(os.path.dirname(__file__), "data",
+                                     "hll_murmur_pinned.json")))
 
 
 def _parse_hll8(path):
@@ -27,16 +31,39 @@ def _parse_hll8(path):
     return hip, kxq0, kxq1, regs
 
 
-@pytest.mark.parametrize("n", [1000, 10000, 100000])
-def test_full_state_parity_vs_java(n):
-    hip, kxq0, kxq1, regs = _parse_hll8(f"{JAVA}/hll8_n{n}_java.sk")
+def _lgk12_sketch(n):
     sk = HllSketch(12)
     for i in range(n):
         sk.update_u64(i)
+    return sk
+
+
+@pytest.mark.parametrize("n", [1000, 10000, 100000])
+def test_full_state_parity_vs_java(n):
+    path = f"{JAVA}/hll8_n{n}_java.sk"
+    if not os.path.exists(path):
+        pytest.skip(f"Java golden file missing: {path}")
+    hip, kxq0, kxq1, regs = _parse_hll8(path)
+    sk = _lgk12_sketch(n)
     assert np.array_equal(sk.registers, regs)
     assert sk.hip_accum == pytest.approx(hip, abs=1e-9)
     assert sk.kxq0 == pytest.approx(kxq0, abs=1e-9)
     assert sk.kxq1 == pytest.approx(kxq1, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1000, 10000, 100000])
+def test_full_state_pinned(n):
+    """Registers and HIP/KxQ accumulators, bit for bit, against values
+    pinned in tests/data from this HllSketch. They were taken while
+    state/hll.py was unchanged since the code that matched the Java
+    goldens above, so this regression check runs on every host."""
+    want = PINNED["hll8_lgk12"][str(n)]
+    sk = _lgk12_sketch(n)
+    assert np.asarray(sk.registers, dtype=np.uint8).tobytes().hex() \
+        == want["registers_hex"]
+    assert float(sk.hip_accum).hex() == want["hip_accum"]
+    assert float(sk.kxq0).hex() == want["kxq0"]
+    assert float(sk.kxq1).hex() == want["kxq1"]
 
 
 def test_pinned_example_outputs():

@@ -396,7 +396,7 @@ def test_ivf_topk_with_injected_kmeans_centroids(ray_session):
 
 @pytest.mark.parametrize("dense", [False, True])
 def test_salted_band_filter_equals_explode_then_filter(ray_session, dense):
-    """explode_bands_salted with an increment's band filter == the
+    """explode_bands with hot buckets and an increment's band filter == the
     unfiltered salted explode with the filter applied afterwards, row
     for row (salt included), with and without the dense-id bridge."""
     import pyarrow as pa
@@ -405,7 +405,7 @@ def test_salted_band_filter_equals_explode_then_filter(ray_session, dense):
 
     from apache_datasketches_go_ray.stages.ids import build_bridge
     from apache_datasketches_go_ray.stages.lsh import (
-        _in_sorted, explode_bands_salted)
+        _in_sorted, explode_bands)
 
     rng = np.random.default_rng(5)
     n, n_bands = 40, 6
@@ -422,11 +422,24 @@ def test_salted_band_filter_equals_explode_then_filter(ray_session, dense):
     bridge = (build_bridge(ray.data.from_arrow(batch.select(["conv_id"])))
               if dense else None)
 
-    got = explode_bands_salted(batch, hot_ref, bridge_ref=bridge,
-                               band_filter_ref=ray.put(allowed))
-    full = explode_bands_salted(batch, hot_ref, bridge_ref=bridge)
+    got = explode_bands(batch, hot_ref, bridge_ref=bridge,
+                        band_filter_ref=ray.put(allowed))
+    full = explode_bands(batch, hot_ref, bridge_ref=bridge)
     want = full.filter(pa.array(_in_sorted(
         full.column("band_hash").to_numpy(), allowed)))
     assert got.equals(want)
     assert 0 < len(got) < len(full)
     assert len(set(got.column("salt").to_pylist())) > 1
+
+
+def test_removed_flagship_fallbacks_raise():
+    """candidate_pairs no longer dedups pairs itself, and verify_pairs
+    has no text source but ``texts_ds``: both say so before any work."""
+    from apache_datasketches_go_ray.config import DedupConfig
+    from apache_datasketches_go_ray.stages.lsh import candidate_pairs
+    from apache_datasketches_go_ray.stages.verify import verify_pairs
+
+    with pytest.raises(ValueError, match="dedup_pairs=True"):
+        candidate_pairs(None, DedupConfig(), dedup=True)
+    with pytest.raises(TypeError, match="texts_ds"):
+        verify_pairs(None, None, DedupConfig())

@@ -7,6 +7,7 @@ import pyarrow as pa
 import pytest
 
 from apache_datasketches_go_ray.config import DedupConfig
+from apache_datasketches_go_ray.stages.keyed import sort_segments
 from apache_datasketches_go_ray.stages.turnblock import (
     hashes_from_assembled,
     pairs_block,
@@ -31,7 +32,8 @@ def _turns(rows) -> pa.Table:
 
 def _local_pairs(rows, cfg: DedupConfig) -> set:
     hashes = turn_hash_rows(_turns(rows), cfg.turn_block_min_chars)
-    return _pairs_set(pairs_block(hashes, cfg.turn_block_max_convs))
+    return _pairs_set(pairs_block(*sort_segments(hashes, ["h"], ["conv_id"]),
+                                  cfg.turn_block_max_convs))
 
 
 def test_shared_long_turn_emits_pair():
@@ -157,8 +159,9 @@ def test_empty_input(ray_session):
     empty = _turns([])
     assert len(turn_hash_rows(empty, cfg.turn_block_min_chars)) == 0
     assert len(pairs_block(
-        pa.schema([("conv_id", pa.string()),
-                   ("h", pa.uint64())]).empty_table(),
+        *sort_segments(pa.schema([("conv_id", pa.string()),
+                                  ("h", pa.uint64())]).empty_table(),
+                       ["h"], ["conv_id"]),
         cfg.turn_block_max_convs)) == 0
     ds = ray.data.from_arrow(empty)
     assert turn_block_pairs(ds, cfg).count() == 0

@@ -114,3 +114,42 @@ def test_windowed_matches_flagship_within_window(ray_session):
     # and both saw every planted in-window pair
     for p in want_in:
         assert p in got
+
+
+def test_pair_kernel_groups_by_band_and_bucket():
+    """No Ray: 70 convs share one band hash, one day apart, window one
+    day, each emitted into its bucket and the next. Whether the cells
+    of that band land in one block or one block each, the pair kernel
+    yields exactly the 69 in-window neighbours: it groups by the fold's
+    (band_hash, bucket) runs, never by band_hash alone."""
+    from apache_datasketches_go_ray.stages.keyed import sort_segments
+    from apache_datasketches_go_ray.stages.lsh import pairs_in_block
+    from apache_datasketches_go_ray.stages.windowed_dedup import (
+        _bucket_duplicate)
+
+    n = 70
+    rng = np.random.default_rng(3)
+    names = [f"c{int(i):03d}" for i in rng.permutation(n)]  # id != time
+    rows = _bucket_duplicate(pa.table({
+        "band_hash": pa.array(np.full(n, 7), type=pa.uint64()),
+        "conv_id": pa.array(names),
+        "sig_digest": pa.array([bytes(32)] * n, type=pa.large_binary()),
+        "ts0": pa.array(np.arange(n, dtype=np.int64) * DAY_US),
+    }), DAY_US)
+    cfg = DedupConfig()
+
+    def pairs(block):
+        out = pairs_in_block(
+            *sort_segments(block, ["band_hash", "bucket"], ["conv_id"]),
+            max_group=cfg.max_band_group,
+            min_matches=cfg.prefilter_min_matches)
+        return set(zip(out.column("a").to_pylist(),
+                       out.column("b").to_pylist()))
+
+    want = {tuple(sorted((names[i], names[i + 1]))) for i in range(n - 1)}
+    assert pairs(rows) == want
+    buckets = rows.column("bucket").to_numpy()
+    per_cell = set()
+    for bk in np.unique(buckets):
+        per_cell |= pairs(rows.filter(pa.array(buckets == bk)))
+    assert per_cell == want
