@@ -4,8 +4,8 @@ Each stage's manifest entry records a fingerprint of (pipeline config,
 stage name, upstream fingerprint); a re-run with an intact checkpoint
 directory skips every stage whose entry is complete and
 fingerprint-matching, re-reading its partitioned-Parquet output instead
-of recomputing. Without a checkpoint dir, stages materialize (or stay
-lazy with ``materialize=False``) and metrics still accumulate.
+of recomputing. Without a checkpoint dir, stages materialize and
+metrics still accumulate.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 
 import ray.data
@@ -29,18 +28,19 @@ def _stabilize_fsspec_http_import() -> None:
     every call, and two driver threads resolving paths concurrently can
     race CPython's partially-initialized-module state, turning the
     error into ``ImportError: cannot import name 'HTTPFileSystem'`` —
-    which escapes Ray's except clause and kills one branch. Install a
-    minimal stub module once so the import always succeeds; the stub
-    class is never an fsspec filesystem instance, so the probe still
-    returns False for every real filesystem. No-op when the real
-    import works (aiohttp installed)."""
+    which escapes Ray's except clause and kills that thread's call.
+    The pipelines run one thread, but callers may not: a watchdog that
+    abandons a hung call (perfbench/run.py) leaves its thread running
+    next to the next call. Install a minimal stub module once so the
+    import always succeeds; the stub class is never an fsspec
+    filesystem instance, so the probe still returns False for every
+    real filesystem. No-op when the real import works (aiohttp
+    installed); any error other than ``ImportError`` propagates."""
     try:
         from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
         return
     except ImportError:
         pass
-    except Exception:
-        return
     import sys
     import types
 
@@ -55,7 +55,7 @@ def _stabilize_fsspec_http_import() -> None:
         import fsspec.implementations as _fi
 
         _fi.http = mod
-    except Exception:
+    except ImportError:
         pass
 
 
@@ -67,10 +67,6 @@ class CheckpointedPipeline:
         self._config_dict = config_dict
         self.ckpt = checkpoint_dir
         self.metrics: dict = {"stages": {}, "config": config_dict}
-        # stages may run on executor threads, two at a time when
-        # DedupPipeline.run overlaps its pair branches on a session of
-        # >= 8 CPUs; manifest read-modify-write must not lose updates
-        self._manifest_lock = threading.Lock()
         if checkpoint_dir:
             os.makedirs(checkpoint_dir, exist_ok=True)
 
@@ -98,20 +94,12 @@ class CheckpointedPipeline:
         h.update(upstream_fp.encode())
         return h.hexdigest()[:16]
 
-    def _stage(self, name: str, upstream_fp: str, build, *,
-               materialize: bool = True):
-        """Run or resume one checkpointed stage; returns (ds, fingerprint).
-
-        ``materialize=False`` (no-checkpoint mode only) leaves the stage
-        lazy so a single-consumer stage fuses into its downstream chain
-        instead of paying a barrier + object-store round-trip.
-        """
+    def _stage(self, name: str, upstream_fp: str, build):
+        """Run or resume one checkpointed stage; returns (ds, fingerprint)."""
         fp = self._fingerprint(name, upstream_fp)
         t0 = time.time()
         if self.ckpt:
-            with self._manifest_lock:
-                man = self._load_manifest()
-                ent = man["stages"].get(name)
+            ent = self._load_manifest()["stages"].get(name)
             out_dir = os.path.join(self.ckpt, name)
             if ent and ent.get("complete") and ent.get("fingerprint") == fp \
                     and os.path.isdir(out_dir):
@@ -122,29 +110,19 @@ class CheckpointedPipeline:
                 return ds, fp
             ds = build()
             ds.write_parquet(out_dir)
-            if os.path.isdir(out_dir):
-                ds = ray.data.read_parquet(out_dir)
-            else:
-                # an empty dataset writes no files at all; keep the
-                # (empty) in-memory result and let a resume rebuild it
-                ds = ds.materialize()
-            rows = ds.count()
-            with self._manifest_lock:
-                man = self._load_manifest()
-                man["stages"][name] = {
-                    "complete": True, "fingerprint": fp, "rows": rows,
-                    "sec": round(time.time() - t0, 3),
-                }
-                self._save_manifest(man)
-        elif materialize:
-            ds = build().materialize()
-            rows = ds.count()
+            # an empty dataset writes no files at all; keep the (empty)
+            # in-memory result and let a resume rebuild it
+            ds = (ray.data.read_parquet(out_dir) if os.path.isdir(out_dir)
+                  else ds.materialize())
         else:
-            ds = build()
-            rows = None
-        self.metrics["stages"][name] = {
-            "resumed": False, "rows": rows, "sec": round(time.time() - t0, 3),
-        }
+            ds = build().materialize()
+        stat = {"rows": ds.count(), "sec": round(time.time() - t0, 3)}
+        self.metrics["stages"][name] = {"resumed": False, **stat}
+        if self.ckpt:
+            man = self._load_manifest()
+            man["stages"][name] = {"complete": True, "fingerprint": fp,
+                                   **stat}
+            self._save_manifest(man)
         return ds, fp
 
     def _write_metrics(self) -> None:

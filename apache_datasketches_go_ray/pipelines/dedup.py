@@ -2,10 +2,11 @@
 resume — one body for a full run and for an increment.
 
 Stages (each checkpointed as partitioned Parquet + a manifest entry):
-  read -> assemble (shuffle on conv_id) -> sign (actor pool) ->
-  band pairs (shuffle on band key) || turn pairs (shuffle on turn-text
-  hash) -> verify (broadcast semi-join + 2 hash joins) ->
-  cluster (iterative hash-partitioned min-label exchange).
+  read -> assemble (shuffle on conv_id) -> sign (map tasks) ->
+  turn hashes -> candidate pairs (one shuffle of band rows and
+  turn-hash rows together) -> verify (broadcast semi-join, then a
+  pair fold or two co-partition joins) -> cluster (iterative
+  hash-partitioned min-label exchange).
 
 A run dedups a batch of transcripts against a prior checkpoint chain:
 the checkpoint dirs of earlier runs (a full run plus each later
@@ -29,16 +30,14 @@ way (pinned by tests/test_dense_ids.py), and the bridge declines
 deterministically on oversized id columns or 64-bit hash collisions
 (string-path fallback).
 
-Branch scheduling: the two pair branches are independent; one
-executor runs them, with 2 threads on sessions of >= 8 CPUs (their
-shuffles overlap; measured 11.7 s sequential -> ~7 s at sf0.1 / 32
-CPUs) and 1 thread below that, where two concurrent hash shuffles
-starve each other's aggregators. The band branch is always submitted
-first, so stage names and fingerprints do not depend on the thread
-count: checkpoints written at one parallelism resume at any other.
+One candidate exchange: band rows and turn-hash rows are two kinds of
+row under one schema, folded by one keyed shuffle on (kind, band_hash,
+salt) (stages/candidates.py). There is no branch to schedule: the
+``pairs`` stage reads ``turn_hashes`` upstream, and its one shuffle
+spreads over every CPU of the session.
 
 Resume: each stage's manifest entry records an input fingerprint
-(config + upstream fingerprint; the pair branches also fold in the
+(config + upstream fingerprint; from ``turn_hashes`` on, also the
 chain's paths); a re-run with an intact checkpoint directory skips
 every stage whose entry is complete and fingerprint-matching,
 re-reading its Parquet output instead. Union-find rounds checkpoint
@@ -49,7 +48,6 @@ sorting.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
 import os
@@ -68,14 +66,14 @@ from ..stages.assemble import assemble
 from ..stages.cluster import cluster_edges
 from ..stages.context import apply_block_cap, ensure_hash_shuffle, gather_table
 from ..stages.ids import build_bridge
-from ..stages.lsh import _in_sorted, candidate_pairs
+from ..stages.candidates import candidate_exchange
+from ..stages.lsh import _in_sorted
 from ..stages.signature import sign
-from ..stages.turnblock import (hashes_from_assembled, pairs_from_hashes,
-                                turn_hash_dataset)
+from ..stages.turnblock import hashes_from_assembled, turn_hash_dataset
 from ..stages.verify import verify_pairs
 from .base import CheckpointedPipeline
 
-# candidate_pairs consumes (conv_id, bands, sig_digest), verify
+# band rows consume (conv_id, bands, sig_digest), verify
 # (conv_id, shingles); n_turns/n_shingles of the prior corpus are never read
 _SIG_COLS = ["conv_id", "shingles", "bands", "sig_digest"]
 
@@ -168,16 +166,18 @@ class DedupPipeline(CheckpointedPipeline):
             "signatures", fp,
             lambda: sign(assembled, cfg, keep_text=False),
         )
-        sigs, band_filter, new_ids_ref = signatures, None, None
+        sigs, hashes = signatures, None
+        band_filter = hash_filter = new_ids_ref = None
         if chain:
-            # the pair branches are the first stages to read the chain
+            # every stage from here on reads the chain or follows one
+            # that does: its fingerprint folds in the chain's paths
             fp += json.dumps([os.path.abspath(d) for d in chain])
             sigs = _union_surface(chain, "signatures", _SIG_COLS) \
                 .union(signatures.select_columns(_SIG_COLS))
             # corpus-side band rows are emitted ONLY for buckets the
             # batch touches: a bucket with no new conv can only produce
-            # old-old pairs, which new_only drops anyway — so the
-            # prefilter is exact and the band shuffle volume tracks the
+            # old-old pairs, which _touches_new drops anyway — so the
+            # prefilter is exact and the shuffle volume tracks the
             # batch's collisions, not the corpus
             band_filter = _sorted_set_ref(signatures, "bands")
             # the batch is the small side by construction (a daily
@@ -187,60 +187,32 @@ class DedupPipeline(CheckpointedPipeline):
                 schema=pa.schema([("conv_id", pa.string())]))
             h_new, _ = hash_strings(as_array(new_ids.column("conv_id")))
             new_ids_ref = ray.put(np.unique(h_new))
-
-        def new_only(pairs_ds):
-            if new_ids_ref is None:
-                return pairs_ds
-            return pairs_ds.map_batches(
-                functools.partial(_touches_new, new_ids_ref=new_ids_ref),
-                batch_format="pyarrow", zero_copy_batch=True)
-
-        # pairs stay band-deduped only; the (a, b) dedup happens for free
-        # inside verify's first co-partition join (saves one all-to-all)
-        def band_branch():
-            return self._stage(
-                "pairs", fp,
-                lambda: new_only(candidate_pairs(
-                    sigs, cfg, dedup=False, bridge_ref=bridge,
-                    band_filter_ref=band_filter)))
-
-        def turn_branch():
+        if cfg.turn_block:
             # turn_hashes is its own checkpoint surface so later
             # increments block a new batch against the old corpus
-            # without re-reading it. single consumer -> lazy in
-            # no-checkpoint mode; checkpoint mode still writes it
-            hashes, fp_th = self._stage(
+            # without re-reading it
+            hashes, fp = self._stage(
                 "turn_hashes", fp,
-                lambda: turn_hash_dataset(transcripts_ds, cfg),
-                materialize=False,
-            )
-            hash_filter = None
+                lambda: turn_hash_dataset(transcripts_ds, cfg))
             if chain:
-                # same prefilter as the band branch: only turn hashes
+                # same prefilter as the band rows: only turn hashes
                 # present in the batch can form a new pair
                 hash_filter = _sorted_set_ref(hashes, "h")
                 hashes = _prior_turn_hashes(chain, cfg).union(hashes)
-            return self._stage(
-                "turn_pairs", fp_th,
-                lambda: new_only(pairs_from_hashes(
-                    hashes, cfg, bridge_ref=bridge,
-                    hash_filter_ref=hash_filter)))
 
-        # two driver threads overlap the branches' shuffles on sessions
-        # of >= 8 CPUs; on smaller ones two concurrent hash shuffles
-        # starve each other's aggregators (the 4-CPU scaling leg crawled
-        # at load 0.85), so one thread runs them in submission order.
-        # The manifest lock serializes bookkeeping.
-        workers = 2 if ray.cluster_resources().get("CPU", 0) >= 8 else 1
-        with concurrent.futures.ThreadPoolExecutor(workers) as ex:
-            branches = [ex.submit(band_branch)]
-            if cfg.turn_block:
-                branches.append(ex.submit(turn_branch))
-            results = [f.result() for f in branches]
-        pairs = results[0][0]
-        for ds, _fp in results[1:]:
-            pairs = pairs.union(ds)
-        fp = "".join(f for _ds, f in results)  # downstream reads both
+        def build_pairs():
+            # one keyed fold over band and turn rows; pairs are not
+            # deduped, verify's pair fold does that anyway
+            pairs = candidate_exchange(
+                cfg, sigs, hashes, bridge_ref=bridge,
+                band_filter_ref=band_filter, hash_filter_ref=hash_filter)
+            if new_ids_ref is None:
+                return pairs
+            return pairs.map_batches(
+                functools.partial(_touches_new, new_ids_ref=new_ids_ref),
+                batch_format="pyarrow", zero_copy_batch=True)
+
+        pairs, fp = self._stage("pairs", fp, build_pairs)
 
         # verified IS materialized: fusing its two co-partition joins into
         # the clustering chain makes the streaming executor schedule both
@@ -248,8 +220,8 @@ class DedupPipeline(CheckpointedPipeline):
         # stage-wise execution (measured at 200k convs)
         verified, fp = self._stage(
             "verified", fp,
-            lambda: verify_pairs(pairs, sigs, cfg, dedup_pairs=True,
-                                 texts_ds=texts, bridge_ref=bridge),
+            lambda: verify_pairs(pairs, sigs, cfg, texts_ds=texts,
+                                 bridge_ref=bridge),
         )
         edges = verified.filter(expr="is_dup == True").select_columns(["a", "b"])
         if chain:
@@ -325,8 +297,6 @@ def _sorted_set_ref(ds, col: str):
 
 def _touches_new(batch: pa.Table, new_ids_ref) -> pa.Table:
     """Keep the pairs with at least one conv in the new batch."""
-    if len(batch) == 0:
-        return batch
     ids = ray.get(new_ids_ref)
 
     def isin(col):
@@ -378,8 +348,9 @@ class IncrementalDedupPipeline(DedupPipeline):
         not to the corpus;
       * the last entry's ``clusters`` re-entering union-find as
         (member, label) edges;
-      * the chain's paths in the pair branches' fingerprints, so a run
-        against another chain never resumes stale pairs.
+      * the chain's paths in the fingerprints of ``turn_hashes`` and
+        everything after it, so a run against another chain never
+        resumes stale pairs.
 
     Equivalence: dedup(A), then incremental(B) ==
     dedup(A ∪ B) cluster-for-cluster (pinned by pytest) — min-id labels
@@ -454,8 +425,6 @@ def delete_convs(
 
     def _drop(cols):
         def fn(b: pa.Table) -> pa.Table:
-            if len(b) == 0:
-                return b
             rem = ray.get(removed_ref)
             keep = None
             for col in cols:

@@ -79,8 +79,7 @@ def minhash_dedup_documents(ds, cfg: DedupConfig | None = None,
     docs = docs.materialize()
     sigs = sign(docs, cfg, keep_text=False).materialize()
     pairs = candidate_pairs(sigs, cfg, dedup=False).materialize()
-    verified = verify_pairs(pairs, sigs, cfg, dedup_pairs=True,
-                            texts_ds=docs)
+    verified = verify_pairs(pairs, sigs, cfg, texts_ds=docs)
     edges = verified.filter(expr="is_dup == True").select_columns(["a", "b"])
     return cluster_edges(edges, cfg.num_partitions)
 

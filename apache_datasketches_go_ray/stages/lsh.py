@@ -1,12 +1,13 @@
 """LSH banding -> candidate pairs, with salted repartitioning for hot keys.
 
-One keyed fold (stages/keyed.keyed_fold) over band rows exploded as
-(band_hash, conv_id, sig_digest, salt) — band index is already folded
-into the hash (functions/minhash.band_keys) so a single uint64 key
-carries both. The fold co-locates each (band_hash, salt) bucket in one
-block, sorted by conv_id; pair emission is then a vectorized scan over
-the fold's key runs, not per-group Python. Duplicate pairs from several
-colliding bands are removed later, in verify's pair fold.
+Band rows are exploded as (band_hash, conv_id, sig_digest, salt) —
+band index is already folded into the hash (functions/minhash.band_keys)
+so a single uint64 key carries both — and folded together with the
+turn-hash rows in the one candidate exchange (stages/candidates.py),
+which co-locates each (band_hash, salt) bucket in one block, sorted by
+conv_id; pair emission here is then a vectorized scan over the fold's
+key runs, not per-group Python. Duplicate pairs from several colliding
+bands are removed later, in verify's pair fold.
 
 Skew handling (SURVEY §7.8, north_rule "band-key skew handled via salted
 repartitioning"):
@@ -186,6 +187,20 @@ def _vector_pairs(m_rank, m_dig, sizes, boffs, max_group, min_matches):
     return np.concatenate(a_out), np.concatenate(b_out)
 
 
+def bucket_members(batch: pa.Table, starts: np.ndarray):
+    """One row per (bucket, member) of a block sorted by (bucket key,
+    conv_id), ``starts`` the bucket starts: drops a conv's repeated
+    hits. Returns (uniq, member rows, member codes, bucket sizes,
+    bucket offsets into the member rows); ``uniq`` maps codes back to
+    ids (ids.ids_at)."""
+    rank, uniq = local_codes(batch.column("conv_id"))
+    mrows = np.flatnonzero(run_heads(starts, rank))
+    sizes = np.bincount(segment_ids(starts, len(batch))[mrows],
+                        minlength=len(starts))
+    boffs = np.concatenate([[0], np.cumsum(sizes)])[:-1]
+    return uniq, mrows, rank[mrows], sizes, boffs
+
+
 def _pair_table(uniq, a, b, bridge_ref) -> pa.Table:
     """Pair codes -> (a, b) conv_id strings, whatever the id coding."""
     return decode_columns(pa.table({"a": ids_at(uniq, a),
@@ -211,14 +226,8 @@ def pairs_in_block(batch: pa.Table, starts: np.ndarray, max_group: int,
     set) and rep rows (is_rep=true, band_hash/conv_id/sig_digest set;
     conv_id stays coded, the representative pass re-enters this
     kernel)."""
-    rank, uniq = local_codes(batch.column("conv_id"))
-    # one row per (bucket, member): drops a conv's repeated hits
-    mrows = np.flatnonzero(run_heads(starts, rank))
-    m_rank = rank[mrows]
+    uniq, mrows, m_rank, sizes, boffs = bucket_members(batch, starts)
     m_dig = _digest_matrix(batch.column("sig_digest"), len(batch))[mrows]
-    sizes = np.bincount(segment_ids(starts, len(batch))[mrows],
-                        minlength=len(starts))
-    boffs = np.concatenate([[0], np.cumsum(sizes)])[:-1]
     a, b = _vector_pairs(m_rank, m_dig, sizes, boffs, max_group,
                          min_matches)
     pairs = _pair_table(uniq, a, b, bridge_ref)
@@ -243,48 +252,19 @@ def candidate_pairs(sig_ds, config: DedupConfig, *, dedup: bool = False,
                     bridge_ref=None, band_filter_ref=None):
     """signature table -> candidate pair table (a < b), not deduped:
     a pair several colliding bands emit comes out once per band, and
-    ``verify_pairs(dedup_pairs=True)`` removes the copies in a fold it
-    runs anyway, so ``dedup=True`` raises.
+    ``verify_pairs`` removes the copies in a fold it runs anyway, so
+    ``dedup=True`` raises.
 
-    One band fold keyed on (band_hash, salt). When hot buckets exist,
-    their shards' representatives chain in a second, band-keyed fold
-    that restores cross-shard connectivity; with no hot bucket every
-    salt is 0 and that pass does not run.
-
-    ``bridge_ref`` codes the shuffled conv ids (stages/ids.py); output
+    The candidate exchange (stages/candidates.py) over band rows only;
+    ``bridge_ref`` codes the shuffled conv ids (stages/ids.py), output
     pairs are strings either way."""
-    import functools
-
-    from .context import auto_partitions
+    from .candidates import candidate_exchange
 
     if dedup:
         raise ValueError("candidate_pairs(dedup=True) is gone: dedup the "
                          "pairs with verify_pairs(dedup_pairs=True)")
-    P = auto_partitions(sig_ds.count() * config.num_bands, 200_000,
-                        config.num_partitions)
-    hot = detect_hot_bands(sig_ds, config)
-    hot_ref = ray.put((hot, config.hot_key_salt)) if len(hot) else None
-    kernel = functools.partial(pairs_in_block,
-                               max_group=config.max_band_group,
-                               min_matches=config.prefilter_min_matches,
-                               bridge_ref=bridge_ref)
-    bands = sig_ds.map_batches(
-        functools.partial(explode_bands, hot_ref=hot_ref,
-                          bridge_ref=bridge_ref,
-                          band_filter_ref=band_filter_ref),
-        batch_format="pyarrow", zero_copy_batch=True)
-    pairs = keyed_fold(bands, ["band_hash", "salt"],
-                       functools.partial(kernel, hot_ref=hot_ref), P,
-                       order_by=["conv_id"])
-    if hot_ref is None:
-        return pairs
-    mixed = pairs.materialize()
-    shard_pairs = mixed.filter(expr="is_rep == False") \
-        .select_columns(["a", "b"])
-    reps = mixed.filter(expr="is_rep == True") \
-        .select_columns(["band_hash", "conv_id", "sig_digest"])
-    return shard_pairs.union(keyed_fold(reps, ["band_hash"], kernel,
-                                        min(P, 8), order_by=["conv_id"]))
+    return candidate_exchange(config, sig_ds, bridge_ref=bridge_ref,
+                              band_filter_ref=band_filter_ref)
 
 
 def plan_lsh(threshold: float, num_perms: int = 128,

@@ -14,13 +14,14 @@ Every containment / exact / reorder copy shares whole turns VERBATIM
 with its base, so an exact turn-text hash collision is a cheap,
 high-precision candidate signal that is independent of full-text
 Jaccard: hash each qualifying turn text to u64, key-shuffle the
-distinct (conv_id, hash) rows by hash, and emit conversation pairs per
+distinct (conv_id, hash) rows by hash — in the same keyed fold as the
+LSH band rows (stages/candidates.py) — and emit conversation pairs per
 hash bucket with the standard hot-key cap (a turn text shared by more
 than ``turn_block_max_convs`` conversations is boilerplate, not dup
 evidence — dropping it bounds the pair yield exactly like the band
-group cap in stages/lsh.py). Pairs union with the LSH candidates and
-flow through the same exact verification, so precision is unchanged —
-this stage only adds candidates.
+group cap in stages/lsh.py). Pairs flow with the LSH candidates through
+the same exact verification, so precision is unchanged — this stage
+only adds candidates.
 
 Scale shape: the shuffle payload is distinct (conv_id, u64) — ~20
 bytes per turn, far lighter than the signature shuffle — and pair
@@ -42,13 +43,9 @@ import pyarrow.compute as pc
 from ..config import DedupConfig
 from ..functions.murmur3 import hash_strings
 from .arrow_util import as_array
-from .ids import decode_columns, ids_at, local_codes, map_encode
-from .keyed import keyed_fold, run_heads, segment_ids
+from .lsh import _pair_table, _vector_pairs, bucket_members
 
 _ROWS_SCHEMA = pa.schema([("conv_id", pa.string()), ("h", pa.uint64())])
-_PAIRS_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string())])
-# (conv, h) rows are ~16-20 bytes: the same grain as lsh's band rows
-_ROWS_PER_PARTITION = 200_000
 
 
 def turn_hash_rows(batch: pa.Table, min_chars: int) -> pa.Table:
@@ -77,38 +74,21 @@ def pairs_block(batch: pa.Table, starts: np.ndarray, max_convs: int,
 
     Global distinct per (h, conv) happens here (the keyed fold
     co-locates every copy), then every bucket with 2..max_convs member
-    conversations emits its full pair set — vectorized per distinct
-    bucket size, the same expansion pattern as lsh._vector_pairs.
-    Pairs come out as conv_id strings whatever the id coding."""
-    rank, uniq = local_codes(batch.column("conv_id"))
-    heads = run_heads(starts, rank)
-    r_s = rank[heads]
-    sizes = np.bincount(segment_ids(starts, len(batch))[heads],
-                        minlength=len(starts))
-    offs = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-    a_out: list = []
-    b_out: list = []
-    for g in np.unique(sizes):
-        if g < 2 or g > max_convs:
-            continue
-        idx = offs[sizes == g][:, None] + np.arange(g)     # (nb, g)
-        mem = r_s[idx]
-        ia, ib = np.triu_indices(int(g), k=1)
-        a_out.append(mem[:, ia].reshape(-1))
-        b_out.append(mem[:, ib].reshape(-1))
-    if not a_out:
-        return _PAIRS_SCHEMA.empty_table()
-    return decode_columns(
-        pa.table({"a": ids_at(uniq, np.concatenate(a_out)),
-                  "b": ids_at(uniq, np.concatenate(b_out))}),
-        ["a", "b"], bridge_ref)
+    conversations emits its full pair set through lsh._vector_pairs
+    with a zero-width digest (no prefilter). Pairs come out as conv_id
+    strings whatever the id coding."""
+    uniq, _mrows, m_rank, sizes, boffs = bucket_members(batch, starts)
+    keep = sizes <= max_convs
+    a, b = _vector_pairs(m_rank, np.empty((len(m_rank), 0), dtype=np.uint8),
+                         sizes[keep], boffs[keep], max_convs, 0)
+    return _pair_table(uniq, a, b, bridge_ref)
 
 
 def turn_hash_dataset(transcripts_ds, config: DedupConfig):
     """Raw transcript turns -> distinct (conv_id, h) rows (pre-shuffle,
-    block-local distinct only; the keyed shuffle in pairs_from_hashes
-    finishes it). Checkpointed by the pipeline so an incremental run
-    can band a new batch against the old corpus without re-reading it."""
+    block-local distinct only; the candidate exchange finishes it).
+    Checkpointed by the pipeline so an incremental run can band a new
+    batch against the old corpus without re-reading it."""
     return transcripts_ds.map_batches(
         functools.partial(turn_hash_rows,
                           min_chars=config.turn_block_min_chars),
@@ -125,8 +105,6 @@ def hashes_from_assembled(assembled_ds, config: DedupConfig):
     from .assemble import TURN_SEP
 
     def split_rows(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _ROWS_SCHEMA.empty_table()
         texts = as_array(b.column("text"))
         parts = pc.split_pattern(texts, TURN_SEP)
         counts = pc.list_value_length(parts).to_numpy(
@@ -142,50 +120,18 @@ def hashes_from_assembled(assembled_ds, config: DedupConfig):
                                     zero_copy_batch=True)
 
 
-def _filter_hashes(batch: pa.Table, hash_filter_ref) -> pa.Table:
-    """Keep only rows whose turn hash is in the broadcast sorted set
-    (the increment's hashes): buckets without a new conv can only
-    yield old-old pairs, which an incremental run drops anyway."""
-    import ray as _ray
-
-    if len(batch) == 0:
-        return batch
-    hs = batch.column("h").to_numpy(zero_copy_only=False)
-    allowed = _ray.get(hash_filter_ref)
-    if len(allowed) == 0:
-        return batch.slice(0, 0)
-    idx = np.searchsorted(allowed, hs)
-    idx[idx >= len(allowed)] = 0
-    return batch.filter(pa.array(allowed[idx] == hs))
-
-
 def pairs_from_hashes(hash_ds, config: DedupConfig, bridge_ref=None,
                       hash_filter_ref=None):
     """(conv_id, h) rows -> candidate pair dataset (a < b, not deduped —
-    verify's first co-partition join dedups for free). ``bridge_ref``
-    codes the conv column before the keyed shuffle (stages/ids.py; the
+    verify's pair fold dedups): the candidate exchange
+    (stages/candidates.py) over turn rows only. ``bridge_ref`` codes the
+    conv column before the keyed shuffle (stages/ids.py; the
     checkpointable hash surface keeps strings); ``hash_filter_ref``
-    restricts rows to an increment's turn-hash set
-    before the shuffle (exact — see _filter_hashes).
+    restricts rows to an increment's turn-hash set (candidates.turn_rows)."""
+    from .candidates import candidate_exchange
 
-    The shuffle is sized to the rows it moves (context.auto_partitions,
-    capped at ``num_partitions``): they are materialized once, so the
-    count reads block metadata instead of a second pass over lazy rows."""
-    from .context import auto_partitions
-
-    if hash_filter_ref is not None:
-        hash_ds = hash_ds.map_batches(
-            functools.partial(_filter_hashes,
-                              hash_filter_ref=hash_filter_ref),
-            batch_format="pyarrow", zero_copy_batch=True)
-    hash_ds = map_encode(hash_ds, ["conv_id"], bridge_ref).materialize()
-    P = auto_partitions(hash_ds.count(), _ROWS_PER_PARTITION,
-                        config.num_partitions)
-    return keyed_fold(hash_ds, ["h"],
-                      functools.partial(pairs_block,
-                                        max_convs=config.turn_block_max_convs,
-                                        bridge_ref=bridge_ref),
-                      P, order_by=["conv_id"])
+    return candidate_exchange(config, hash_ds=hash_ds, bridge_ref=bridge_ref,
+                              hash_filter_ref=hash_filter_ref)
 
 
 def turn_block_pairs(transcripts_ds, config: DedupConfig):

@@ -9,8 +9,9 @@ magnitude smaller than the corpus (bounded by the band caps), so we
      ``np.searchsorted`` (zero-copy from plasma; a 64-bit collision only
      keeps a harmless extra row that the in-block join drops);
   2. attach each endpoint's shingle set either by **broadcasting** the
-     filtered candidate table (``ray.put`` once, map-only lookup — taken
-     when it fits the object-store gate; the classic broadcast join) or
+     filtered candidate table (``ray.put`` once, looked up inside the
+     (a, b) fold that dedups the pairs — taken when it fits the
+     object-store gate; the classic broadcast join) or
      by **tagged-union co-partition joins** (pair and signature rows
      unioned, co-located on the endpoint key by one keyed fold
      (stages/keyed.py), joined per block with vectorized
@@ -93,26 +94,24 @@ def _tag_right(batch: pa.Table, pair_cols, sig_col: str) -> pa.Table:
     return pa.table(cols)
 
 
-def _block_join(batch: pa.Table, sig_col: str,
-                dedup_pairs: bool = False) -> pa.Table:
-    """In-block hash join of co-partitioned pair and signature rows."""
+def _block_join(batch: pa.Table, sig_col: str) -> pa.Table:
+    """In-block hash join of co-partitioned pair and signature rows.
+    Every copy of a pair row shares its key, so the in-block group_by
+    is a global dedup of multi-bucket emissions (a no-op on the second
+    endpoint's join, whose rows are already distinct)."""
     tag = batch.column("tag")
     pairs = batch.filter(pc.equal(tag, 0))
     sigs = batch.filter(pc.equal(tag, 1))
     left_cols = [c for c in batch.column_names if c not in ("tag", sig_col)]
-    left = pairs.select(left_cols)
-    if dedup_pairs:
-        # pairs keyed on `a` are co-located here, so (a, b) dedup of
-        # multi-band emissions is a free in-block group_by
-        left = left.group_by(left_cols).aggregate([]).select(left_cols)
+    left = pairs.select(left_cols).group_by(left_cols).aggregate([]) \
+        .select(left_cols)
     right = pa.table({"key": sigs.column("key"),
                       sig_col: sigs.column(sig_col)})
     joined = left.join(right, keys=["key"], join_type="left outer")
     return joined.drop_columns(["key"])
 
 
-def _attach_endpoint(ds, cand_sigs, key_col: str, suffix: str, P: int,
-                     dedup_pairs: bool = False):
+def _attach_endpoint(ds, cand_sigs, key_col: str, suffix: str, P: int):
     """ds (pair rows) + cand_sigs -> ds with shingles_<suffix>."""
     sig_col = f"shingles_{suffix}"
     schema = ds.schema()
@@ -126,7 +125,7 @@ def _attach_endpoint(ds, cand_sigs, key_col: str, suffix: str, P: int,
         batch_format="pyarrow", zero_copy_batch=True)
     return keyed_fold(
         left.union(right), ["key"],
-        lambda b, _starts: _block_join(b, sig_col, dedup_pairs), P,
+        lambda b, _starts: _block_join(b, sig_col), P,
         order_by=None)
 
 
@@ -264,9 +263,10 @@ def _collect_texts(texts_ds, ids: set) -> dict:
 _BCAST_CACHE: dict = {}
 
 
-def _broadcast_verify_batch(batch: pa.Table, cand_ref, cfg: DedupConfig,
-                            dedup_pairs: bool) -> pa.Table:
-    """Map-only phase-1 verification against the broadcast candidates."""
+def _broadcast_verify_batch(batch: pa.Table, cand_ref,
+                            cfg: DedupConfig) -> pa.Table:
+    """Phase-1 verification of a block of (a, b)-co-located pairs
+    against the broadcast candidates; copies of a pair are dropped."""
     key = cand_ref.hex() if hasattr(cand_ref, "hex") else id(cand_ref)
     entry = _BCAST_CACHE.get(key)
     if entry is None:
@@ -277,8 +277,7 @@ def _broadcast_verify_batch(batch: pa.Table, cand_ref, cfg: DedupConfig,
                  as_array(tbl.column("shingles")))
         _BCAST_CACHE[key] = entry
     conv_arr, sh_arr = entry
-    if dedup_pairs:
-        batch = batch.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
+    batch = batch.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
     a_arr = as_array(batch.column("a"))
     b_arr = as_array(batch.column("b"))
     return _verify_batch(pa.table({
@@ -291,7 +290,7 @@ def _broadcast_verify_batch(batch: pa.Table, cand_ref, cfg: DedupConfig,
 
 
 def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
-                 dedup_pairs: bool = False,
+                 dedup_pairs: bool = True,
                  broadcast_threshold: int = 4 << 30,
                  texts_ds=None,
                  containment_chunk_pairs: int = 250_000,
@@ -300,8 +299,9 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
 
     Returns the full verification table (is_dup marks edges) so metrics
     can report rejection rates; filter on is_dup for clustering.
-    ``dedup_pairs=True`` removes duplicate (a, b) rows (pairs produced
-    with ``candidate_pairs(..., dedup=False)``).
+    Duplicate (a, b) rows (a pair several buckets emit) are always
+    removed, in a fold verification runs anyway; ``dedup_pairs=False``
+    raises.
 
     ``texts_ds`` (required) supplies (conv_id, text) rows for the
     containment pass.
@@ -313,6 +313,9 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
     """
     from .context import auto_partitions
 
+    if not dedup_pairs:
+        raise ValueError("verify_pairs(dedup_pairs=False) is gone: "
+                         "verification always dedups its pairs")
     if texts_ds is None:
         raise TypeError("verify_pairs: texts_ds is required")
     # pin pairs: consumed by the id scan, the sizing count and the joins
@@ -368,23 +371,17 @@ def verify_pairs(pairs_ds, sig_ds, config: DedupConfig,
         cand_tbl = gather_table(cand_sigs)
         cand_ref = ray.put(cand_tbl)
         verify = functools.partial(_broadcast_verify_batch,
-                                   cand_ref=cand_ref, cfg=config,
-                                   dedup_pairs=dedup_pairs)
-        if dedup_pairs:
-            # co-locate duplicate (a, b) rows so the in-block dedup is
-            # globally correct (slim pairs — a cheap exchange)
-            phase1 = keyed_fold(pairs, ["a", "b"],
-                                lambda b, _starts: verify(b), P,
-                                order_by=None)
-        else:
-            phase1 = pairs.map_batches(verify, batch_format="pyarrow",
-                                       zero_copy_batch=True,
-                                       batch_size=None)
+                                   cand_ref=cand_ref, cfg=config)
+        # co-locate duplicate (a, b) rows so the in-block dedup is
+        # globally correct (slim pairs — a cheap exchange)
+        phase1 = keyed_fold(pairs, ["a", "b"],
+                            lambda b, _starts: verify(b), P,
+                            order_by=None)
     else:
         # ---- shuffle path: two co-partition joins (endpoint a, b) ----
         # materialized between rounds (fused-chain pathology)
-        withe_a = _attach_endpoint(pairs, cand_sigs, "a", "a", P,
-                                   dedup_pairs=dedup_pairs).materialize()
+        withe_a = _attach_endpoint(pairs, cand_sigs, "a", "a",
+                                   P).materialize()
         withe_ab = _attach_endpoint(withe_a, cand_sigs, "b", "b", P)
         phase1 = withe_ab.map_batches(
             functools.partial(_verify_batch, cfg=config),

@@ -129,8 +129,7 @@ def windowed_near_dups(transcripts_ds, config: DedupConfig | None = None,
                           min_matches=cfg.prefilter_min_matches),
         P, order_by=["conv_id"])
 
-    verified = verify_pairs(pairs, signatures_ds, cfg, dedup_pairs=True,
-                            texts_ds=assembled_ds)
+    verified = verify_pairs(pairs, signatures_ds, cfg, texts_ds=assembled_ds)
     dup = verified.filter(expr="is_dup == True")
 
     j1 = hash_join(dup, starts.rename_columns(["conv_id", "ts_a"]),

@@ -128,8 +128,7 @@ def test_incremental_with_own_checkpoint_resumes(split_fixture, tmp_path):
     stages = p3.metrics["stages"]
     assert stages["assembled"]["resumed"]
     assert stages["signatures"]["resumed"]
-    for name in ("pairs", "turn_hashes", "turn_pairs", "verified",
-                 "clusters"):
+    for name in ("turn_hashes", "pairs", "verified", "clusters"):
         assert not stages[name]["resumed"], \
             f"stage {name} resumed against a different chain"
 

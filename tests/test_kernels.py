@@ -433,8 +433,9 @@ def test_salted_band_filter_equals_explode_then_filter(ray_session, dense):
 
 
 def test_removed_flagship_fallbacks_raise():
-    """candidate_pairs no longer dedups pairs itself, and verify_pairs
-    has no text source but ``texts_ds``: both say so before any work."""
+    """candidate_pairs no longer dedups pairs itself, verify_pairs always
+    does, and verify_pairs has no text source but ``texts_ds``: each
+    says so before any work."""
     from apache_datasketches_go_ray.config import DedupConfig
     from apache_datasketches_go_ray.stages.lsh import candidate_pairs
     from apache_datasketches_go_ray.stages.verify import verify_pairs
@@ -443,3 +444,5 @@ def test_removed_flagship_fallbacks_raise():
         candidate_pairs(None, DedupConfig(), dedup=True)
     with pytest.raises(TypeError, match="texts_ds"):
         verify_pairs(None, None, DedupConfig())
+    with pytest.raises(ValueError, match="dedup_pairs=False"):
+        verify_pairs(None, None, DedupConfig(), dedup_pairs=False)

@@ -130,9 +130,8 @@ def test_determinism_across_partitioning(fixture_dir, oracle_result):
 def test_checkpoint_resume(fixture_dir, oracle_result, tmp_path,
                            monkeypatch):
     """Run with checkpointing, then re-run: all stages resume, clusters
-    identical (FIXTURES.md F5) — also when the re-run sees 8 CPUs and
-    overlaps the pair branches on two threads (checkpoints written at
-    one parallelism resume at any other)."""
+    identical (FIXTURES.md F5) — also when the re-run sees 8 CPUs
+    (checkpoints written at one session size resume at any other)."""
     import ray
     import ray.data
     from apache_datasketches_go_ray.pipelines.dedup import DedupPipeline
@@ -151,8 +150,6 @@ def test_checkpoint_resume(fixture_dir, oracle_result, tmp_path,
     for name, ent in p2.metrics["stages"].items():
         assert ent["resumed"], f"stage {name} should have resumed"
 
-    # every stage resumes from Parquet, so no two shuffles overlap on
-    # the small test session
     real = ray.cluster_resources
     monkeypatch.setattr(ray, "cluster_resources",
                         lambda: {**real(), "CPU": 8.0})

@@ -74,11 +74,11 @@ def test_dataset_pairs_partition_independent(ray_session, monkeypatch):
     count (global distinct per (h, conv) happens post-shuffle)."""
     import ray.data
 
-    from apache_datasketches_go_ray.stages import turnblock
+    from apache_datasketches_go_ray.stages import candidates
 
     # one row per partition: the shuffle then takes each cap below
     # (num_partitions) instead of sizing this tiny input to 1 partition
-    monkeypatch.setattr(turnblock, "_ROWS_PER_PARTITION", 1)
+    monkeypatch.setattr(candidates, "_ROWS_PER_PARTITION", 1)
 
     rng = np.random.default_rng(7)
     rows = []
